@@ -27,7 +27,6 @@ from .polyhedra import (
     cone_over,
     dd_convert,
     empty_polyhedron,
-    equal,
     from_generators,
     from_halfspaces,
     full_space,
@@ -35,7 +34,6 @@ from .polyhedra import (
     intersect,
     is_proper,
     join_with_origin,
-    recession_cone,
     shift,
     slice_subspace,
 )

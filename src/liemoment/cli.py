@@ -17,7 +17,7 @@ import json
 import sys
 
 from .errors import DomainError, ShapeError, UnsupportedCaseError
-from .exactq import format_vec, parse_vec
+from .exactq import format_vec, qv
 from . import momentum as M
 from . import polyhedra as P
 from . import repweights as W
@@ -43,7 +43,7 @@ def _vec(rs, raw):
     if not isinstance(raw, list):
         raise RequestError("weights must be JSON lists of ints or 'p/q' strings")
     try:
-        v = parse_vec(raw)
+        v = qv(raw)
     except (ShapeError, ValueError) as exc:
         raise RequestError("bad rational literal: %s" % exc)
     rs.check_dim(v)
@@ -73,8 +73,7 @@ def _local_cone_spec(rs, raw):
     case = _field(raw, "case", str)
     mu = _vec(rs, _field(raw, "mu"))
     slice_weights = _vec_list(rs, _field(raw, "slice_weights"))
-    isotropy = raw.get("isotropy_subtorus", [])
-    isotropy = [_vec(rs, item) for item in isotropy]
+    isotropy = _vec_list(rs, raw.get("isotropy_subtorus", []))
     return LocalConeSpec(rs, mu, slice_weights, case, isotropy)
 
 
@@ -100,7 +99,7 @@ def _irrep(rs, payload):
         "hw": format_vec(lam),
         "dim": ws.dim(),
         "weights": ws.to_json(),
-        "trimmed_weight_set": [format_vec(w) for w in W.pi_lambda(rs, lam)],
+        "trimmed_weight_set": [format_vec(w) for w in W.pi_lambda(ws, lam)],
     }
 
 
@@ -198,7 +197,7 @@ _COMMANDS = {
 def _render(rs, payload):
     result = _field(payload, "result")
     scale = payload.get("scale", 100)
-    if not isinstance(scale, int) or scale <= 0:
+    if not isinstance(scale, int) or isinstance(scale, bool) or scale <= 0:
         raise RequestError("scale must be a positive integer")
     dark = light = None
     if isinstance(result, dict) and ("lower" in result or "exact" in result):

@@ -11,7 +11,7 @@ Scalars serialize as the strings ``"p/q"`` or ``"p"``.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Tuple
 
 try:
     from gmpy2 import mpq as Q
@@ -35,7 +35,7 @@ def q(x) -> Q:
         raise ShapeError("boolean is not a rational scalar")
     try:
         return Q(x)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, ZeroDivisionError):
         raise ShapeError("not a rational literal: %r" % (x,))
 
 
@@ -155,33 +155,6 @@ def rank(a: Mat) -> int:
     return len(pivots)
 
 
-def solve(a: Mat, b: Vec) -> Optional[Vec]:
-    """Exact solution of a*x = b, or None when the system is inconsistent.
-
-    Accepts square or overdetermined systems; for underdetermined consistent
-    systems the particular solution with free variables zero is returned.
-    """
-    if len(a) != len(b):
-        raise ShapeError("matrix has %d rows but rhs has %d entries" % (len(a), len(b)))
-    if not a:
-        return ()
-    n = len(a[0])
-    aug = [list(row) + [bv] for row, bv in zip(a, b)]
-    rows, pivots = _eliminate(aug)
-    pivots = [p for p in pivots if p < n]
-    for r in rows[len(pivots):]:
-        if r[n] != 0:
-            return None
-    # rows with pivot in the rhs column signal inconsistency too
-    for r in rows:
-        if all(x == 0 for x in r[:n]) and r[n] != 0:
-            return None
-    x = [ZERO] * n
-    for r, p in zip(rows, pivots):
-        x[p] = r[n]
-    return tuple(x)
-
-
 def inverse(a: Mat) -> Mat:
     n = len(a)
     if any(len(r) != n for r in a):
@@ -191,11 +164,6 @@ def inverse(a: Mat) -> Mat:
     if list(pivots) != list(range(n)):
         raise ShapeError("singular matrix")
     return tuple(tuple(r[n:]) for r in rows)
-
-
-def parse_vec(xs: Sequence) -> Vec:
-    """Parse a JSON-style list of ints / "p/q" strings into a vector."""
-    return qv(xs)
 
 
 def format_vec(v: Vec):

@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import List, Optional, Sequence
 
 from .errors import DomainError, ShapeError, UnsupportedCaseError
-from .exactq import Q, Vec, dot, rank as mat_rank, vadd, vneg, vsub
+from .exactq import Q, Vec, dot, matvec, rank as mat_rank, transpose, vadd, vneg, vsub
 from .polyhedra import (
     Polyhedron,
     cone_from_rays,
@@ -34,7 +34,7 @@ from .polyhedra import (
     slice_subspace,
     to_json,
 )
-from .repweights import WeightSystem, irrep_weights, union_weights
+from .repweights import WeightSystem, irrep_weights, pi_lambda, union_weights
 from .rootsys import (
     RootSystem,
     dominant_roots,
@@ -188,36 +188,18 @@ def _extreme_candidates(rs: RootSystem, pts) -> List[Vec]:
     return sorted(out)
 
 
-def _trimmed_weight_set(rs: RootSystem, lam: Vec, system: WeightSystem) -> List[Vec]:
-    """Weights of the system minus those trimmed at lam.
-
-    A weight lam - alpha is trimmed when the pairing with the coroot of the
-    positive root alpha is 1 AND the weight has multiplicity one in the total
-    system (repetition restores the trimmed direction on the slice).
-    """
-    excluded = set()
-    for alpha in rs.positive_roots:
-        if rs.coroot_pairing(alpha, lam) == 1:
-            w = vsub(lam, alpha)
-            if system.mult(w) == 1:
-                excluded.add(w)
-    return [w for w in system.entries if w not in excluded]
+def _upper_bound_for_list(rs: RootSystem, hw_list, system: WeightSystem) -> Polyhedron:
+    """Outer bound: chamber cap hull of the starred weights trimmed at each lam."""
+    pts = set()
+    for lam in set(hw_list):
+        for w in _extreme_candidates(rs, pi_lambda(system, lam)):
+            pts.add(star_linear(rs, w))
+    return intersect(chamber(rs), hull(sorted(pts)))
 
 
 def upper_bound_projective(rs: RootSystem, lam: Vec) -> Polyhedron:
-    """Outer bound: chamber cap hull of the starred trimmed weight set."""
-    system = irrep_weights(rs, lam)
-    cand = _extreme_candidates(rs, _trimmed_weight_set(rs, lam, system))
-    pts = [star_linear(rs, w) for w in cand]
-    return intersect(chamber(rs), hull(pts))
-
-
-def _upper_bound_for_list(rs: RootSystem, hw_list, system: WeightSystem) -> Polyhedron:
-    pts = set()
-    for lam in set(hw_list):
-        for w in _extreme_candidates(rs, _trimmed_weight_set(rs, lam, system)):
-            pts.add(star_linear(rs, w))
-    return intersect(chamber(rs), hull(sorted(pts)))
+    """Outer bound for the irreducible with highest weight lam."""
+    return _upper_bound_for_list(rs, [lam], irrep_weights(rs, lam))
 
 
 def _maximal_cliques(adj: List[int], n: int) -> List[int]:
@@ -378,19 +360,16 @@ def momentum_polytope_projective(rs: RootSystem, hw_list: Sequence[Vec]) -> Boun
     if single and len(hws) >= rs.rank + 1:
         return BoundedAnswer.certified(orbit_hull([lam0]), "replicated-irrep")
 
+    system = union_weights([irrep_weights(rs, lam) for lam in hws])
+    upper = _upper_bound_for_list(rs, hws, system)
     if len(hws) == 1:
         # rank two, irreducible: the trimmed bound is the polytope
         if rs.torus_rank == 0 and rs.rank <= 2:
-            return BoundedAnswer.certified(
-                upper_bound_projective(rs, lam0), "rank-two-classification")
+            return BoundedAnswer.certified(upper, "rank-two-classification")
         # SU(4) with the four classified highest weights
-        n = _single_a_type(rs)
-        if n == 3 and tuple(int(x) for x in lam0) in _SU4_EXACT:
-            return BoundedAnswer.certified(
-                upper_bound_projective(rs, lam0), "su4-special-weights")
+        if _single_a_type(rs) == 3 and tuple(int(x) for x in lam0) in _SU4_EXACT:
+            return BoundedAnswer.certified(upper, "su4-special-weights")
 
-    system = union_weights([irrep_weights(rs, lam) for lam in hws])
-    upper = _upper_bound_for_list(rs, hws, system)
     lower, strategy = _lower_bound_with_strategy(rs, system)
     if lower == upper:
         return BoundedAnswer(lower, lower, upper, "sandwich-coincide(%s)" % strategy)
@@ -416,30 +395,22 @@ def _require_regular(spec: LocalConeSpec):
 def local_cone(spec: LocalConeSpec) -> Polyhedron:
     """Local momentum cone: apex mu plus the slice's momentum cone."""
     rs = spec.rs
+    _require_regular(spec)
     if spec.case_tag in (CASE_FULL_TORUS, CASE_CENTRAL_ORBIT):
-        _require_regular(spec)
         cone = cone_from_rays([vneg(w) for w in spec.slice_weights], rs.rank)
         return shift(cone, spec.mu)
     # subtorus isotropy: preimage under restriction to the subtorus of the
     # momentum cone of the restricted slice module
-    _require_regular(spec)
     basis = spec.isotropy_subtorus
-    k = len(basis)
     restricted = [tuple(dot(s, w) for s in basis) for w in spec.slice_weights]
-    small = cone_from_rays([vneg(w) for w in restricted], k)
-    ineqs = []
-    for n, off in small.ineqs:
-        pulled = tuple(
-            sum((n[j] * basis[j][i] for j in range(k)), Q(0)) for i in range(rs.rank)
-        )
-        ineqs.append((pulled, off))
-    eqs = []
-    for n, off in small.eqs:
-        pulled = tuple(
-            sum((n[j] * basis[j][i] for j in range(k)), Q(0)) for i in range(rs.rank)
-        )
-        eqs.append((pulled, off))
-    return shift(from_halfspaces(rs.rank, ineqs, eqs), spec.mu)
+    small = cone_from_rays([vneg(w) for w in restricted], len(basis))
+    basis_t = transpose(basis)
+
+    def pull_back(rows):
+        return [(matvec(basis_t, n), off) for n, off in rows]
+
+    return shift(from_halfspaces(rs.rank, pull_back(small.ineqs), pull_back(small.eqs)),
+                 spec.mu)
 
 
 def assemble_polytope(specs: Sequence[LocalConeSpec]) -> Polyhedron:

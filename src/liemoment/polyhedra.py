@@ -28,7 +28,6 @@ from .exactq import (
     dot,
     format_vec,
     is_zero,
-    parse_vec,
     q,
     qstr,
     qv,
@@ -180,19 +179,23 @@ def _dedupe_rays(entries):
 # canonicalization helpers
 
 
-def _canonical_lines(lines: Sequence[Vec]):
-    """Canonical basis (RREF, primitive, sign- and lex-normalized) and pivots."""
+def _canonical_lines(lines: Sequence[Vec]) -> Tuple[Vec, ...]:
+    """Canonical basis of a line space: RREF rows, primitive, sign- and lex-normalized."""
     rows = [l for l in lines if not is_zero(l)]
     if not rows:
-        return (), ()
-    reduced, pivots = rref(tuple(rows))
-    out = tuple(sorted(_sign_normalized(_primitive(r)) for r in reduced))
-    return out, pivots
+        return ()
+    reduced, _ = rref(tuple(rows))
+    return tuple(sorted(_sign_normalized(_primitive(r)) for r in reduced))
 
 
-def _reduce_mod(v: Vec, basis_rref: Sequence[Vec], pivots: Sequence[int]) -> Vec:
-    """Subtract basis combinations to zero out the pivot coordinates."""
-    for row, p in zip(basis_rref, pivots):
+def _reduce_mod(v: Vec, basis_rref: Sequence[Vec]) -> Vec:
+    """Subtract basis combinations to zero out each row's pivot coordinate.
+
+    The rows are scaled RREF rows in any order: each row's pivot is its
+    leading nonzero entry, where every other row is 0.
+    """
+    for row in basis_rref:
+        p = next(i for i, x in enumerate(row) if x != 0)
         if v[p] != 0:
             v = vsub(v, vscale(row, v[p] / row[p]))
     return v
@@ -294,13 +297,13 @@ def _assemble(dim, gen_rays, gen_lines, fac_rays, fac_lines) -> Polyhedron:
         return _empty(dim)
     lines = [l[1:] for l in gen_lines]
 
-    lcanon, lpivots = _canonical_lines(lines)
+    lcanon = _canonical_lines(lines)
     red_rays = set()
     for r in rays:
-        rr = _primitive(_reduce_mod(r, lcanon, lpivots))
+        rr = _primitive(_reduce_mod(r, lcanon))
         if not is_zero(rr):
             red_rays.add(rr)
-    red_points = sorted({_reduce_mod(p, lcanon, lpivots) for p in points})
+    red_points = sorted({_reduce_mod(p, lcanon) for p in points})
 
     eq_rows = []
     for e in fac_lines:
@@ -310,11 +313,9 @@ def _assemble(dim, gen_rays, gen_lines, fac_rays, fac_lines) -> Polyhedron:
             continue
         eq_rows.append(tuple(n) + (-c0,))
     eq_canon = ()
-    eq_pivots = ()
     if eq_rows:
-        reduced, pivots = rref(tuple(eq_rows))
+        reduced, _ = rref(tuple(eq_rows))
         eq_canon = tuple(_sign_normalized(_primitive(r)) for r in reduced)
-        eq_pivots = pivots
     eqs = tuple(sorted((r[:-1], r[-1]) for r in eq_canon))
 
     ineqs = set()
@@ -322,11 +323,8 @@ def _assemble(dim, gen_rays, gen_lines, fac_rays, fac_lines) -> Polyhedron:
         n, c0 = f[1:], f[0]
         if is_zero(n):
             continue  # the homogenization facet x0 >= 0
-        row = tuple(n) + (-c0,)
-        for er, p in zip(eq_canon, eq_pivots):
-            if p < dim and row[p] != 0:
-                coef = row[p] / er[p]
-                row = tuple(x - coef * y for x, y in zip(row, er))
+        # the equalities have points, so each row's pivot is a normal coordinate
+        row = _reduce_mod(tuple(n) + (-c0,), eq_canon)
         nn, bb = row[:-1], row[-1]
         if is_zero(nn):
             continue
@@ -345,34 +343,37 @@ def _assemble(dim, gen_rays, gen_lines, fac_rays, fac_lines) -> Polyhedron:
     )
 
 
+def _dual(dim, rays, lines, *extra):
+    """One DD pass: the dual (rays, lines) of a homogenized cone's (rays, lines).
+
+    Generators give the facets of the cone they span; facets give the
+    generators of the cone they cut out.
+    """
+    return _dd_cone(list(rays) + list(lines) + [vneg(l) for l in lines] + list(extra),
+                    dim + 1)
+
+
 def _canonicalize_from_gens(dim, points, rays=(), lines=()) -> Polyhedron:
     if not points:
         return _empty(dim)
     gens = [(Q(1),) + tuple(p) for p in points]
     gens += [(Q(0),) + tuple(r) for r in rays if not is_zero(r)]
     line_rows = [(Q(0),) + tuple(l) for l in lines if not is_zero(l)]
-    polar_constraints = gens + line_rows + [vneg(l) for l in line_rows]
-    fac_rays, fac_lines = _dd_cone(polar_constraints, dim + 1)
-    return _canonicalize_from_homog_facets(dim, fac_rays, fac_lines)
-
-
-def _canonicalize_from_homog_facets(dim, fac_rays, fac_lines) -> Polyhedron:
-    e0 = (Q(1),) + vzero(dim)
-    cons = list(fac_rays) + list(fac_lines) + [vneg(l) for l in fac_lines] + [e0]
-    gen_rays, gen_lines = _dd_cone(cons, dim + 1)
-    if not any(r[0] > 0 for r in gen_rays):
-        return _empty(dim)
-    # recompute exact facets from the canonical generators so both sides agree
-    ggens = [r for r in gen_rays] + list(gen_lines) + [vneg(l) for l in gen_lines]
-    fr, fl = _dd_cone(ggens, dim + 1)
-    return _assemble(dim, gen_rays, gen_lines, fr, fl)
+    # the first pass already returns the irredundant facets
+    fac_rays, fac_lines = _dual(dim, gens, line_rows)
+    gen_rays, gen_lines = _dual(dim, fac_rays, fac_lines, (Q(1),) + vzero(dim))
+    return _assemble(dim, gen_rays, gen_lines, fac_rays, fac_lines)
 
 
 def _canonicalize_from_halfspaces(dim, ineqs, eqs=()) -> Polyhedron:
     rows = [(Q(-b),) + tuple(n) for n, b in ineqs]
     rows += [(Q(-b),) + tuple(n) for n, b in eqs]
     rows += [(Q(b),) + tuple(vneg(n)) for n, b in eqs]
-    return _canonicalize_from_homog_facets(dim, rows, [])
+    gen_rays, gen_lines = _dual(dim, rows, (), (Q(1),) + vzero(dim))
+    if not any(r[0] > 0 for r in gen_rays):
+        return _empty(dim)
+    fac_rays, fac_lines = _dual(dim, gen_rays, gen_lines)
+    return _assemble(dim, gen_rays, gen_lines, fac_rays, fac_lines)
 
 
 # --------------------------------------------------------------------------
@@ -529,20 +530,6 @@ def is_proper(p: Polyhedron) -> bool:
     return not p.lines
 
 
-def recession_cone(p: Polyhedron) -> Polyhedron:
-    if p.empty:
-        return cone_from_rays([], p.dim)
-    return from_generators(p.dim, [vzero(p.dim)], p.rays, p.lines)
-
-
-def contains(p: Polyhedron, x: Vec) -> bool:
-    return p.contains(tuple(x))
-
-
-def equal(a: Polyhedron, b: Polyhedron) -> bool:
-    return a == b
-
-
 # --------------------------------------------------------------------------
 # serialization
 
@@ -577,10 +564,10 @@ def from_json(obj: dict) -> Polyhedron:
             raise ShapeError("empty polyhedron JSON needs a dim field")
         return _empty(int(obj["dim"]))
     try:
-        points = [parse_vec(v) for v in obj.get("points", [])]
-        rays = [parse_vec(v) for v in obj.get("rays", [])]
+        points = [qv(v) for v in obj.get("points", [])]
+        rays = [qv(v) for v in obj.get("rays", [])]
         halfspaces = [
-            (parse_vec(h["normal"]), q(h["offset"])) for h in obj.get("halfspaces", [])
+            (qv(h["normal"]), q(h["offset"])) for h in obj.get("halfspaces", [])
         ]
     except (KeyError, TypeError):
         raise ShapeError("malformed polyhedron JSON")

@@ -164,16 +164,24 @@ def dim(rs: RootSystem, lam: Vec) -> int:
     return int(val)
 
 
-def pi_lambda(rs: RootSystem, lam: Vec) -> Tuple[Vec, ...]:
-    """Weights of the irreducible minus {lam - alpha : (lam, coroot alpha) = 1}."""
+def pi_lambda(system: WeightSystem, lam: Vec) -> Tuple[Vec, ...]:
+    """Weights of the system minus those trimmed at lam, sorted.
+
+    The weight lam - alpha is trimmed when (lam, coroot alpha) = 1 for the
+    positive root alpha AND lam - alpha has multiplicity one in the system:
+    a repeated weight restores the trimmed direction on the slice.  For an
+    irreducible with highest weight lam, lam - alpha = s_alpha(lam) lies in
+    the Weyl orbit of lam, so the multiplicity clause always holds there.
+    """
+    rs = system.rs
     _require_dominant_integral(rs, lam)
-    ws = irrep_weights(rs, lam)
-    excluded = {
-        vsub(lam, alpha)
-        for alpha in rs.positive_roots
-        if rs.coroot_pairing(alpha, lam) == 1
-    }
-    return tuple(sorted(set(ws.entries) - excluded))
+    excluded = set()
+    for alpha in rs.positive_roots:
+        if rs.coroot_pairing(alpha, lam) == 1:
+            w = vsub(lam, alpha)
+            if system.mult(w) == 1:
+                excluded.add(w)
+    return tuple(sorted(w for w in system.entries if w not in excluded))
 
 
 def union_weights(systems: Sequence[WeightSystem], rs: RootSystem = None) -> WeightSystem:

@@ -313,12 +313,6 @@ def reflect(rs: RootSystem, i: int, lam: Vec) -> Vec:
     return vsub(lam, vscale(rs.simple_roots[i], lam[i]))
 
 
-def apply_word(rs: RootSystem, word, lam: Vec) -> Vec:
-    for i in word:
-        lam = reflect(rs, i, lam)
-    return lam
-
-
 def weyl_orbit(rs: RootSystem, lam: Vec) -> Tuple[Vec, ...]:
     """Full Weyl orbit, lexicographically sorted."""
     rs.check_dim(lam)
@@ -375,18 +369,3 @@ def dominant_roots(rs: RootSystem) -> Tuple[Vec, ...]:
     if not rs.spec.factors:
         raise DomainError("no semisimple part: there are no roots")
     return tuple(b for b in rs.positive_roots if rs.is_dominant(b))
-
-
-def reflection_word(rs: RootSystem, alpha: Vec):
-    """Word of simple reflections whose composition is the reflection s_alpha."""
-    if alpha not in rs._coroot_of:
-        raise DomainError("%r is not a positive root" % (alpha,))
-    if alpha in rs.simple_roots:
-        return (rs.simple_roots.index(alpha),)
-    for i in range(rs.ss_rank):
-        if alpha[i] > 0:
-            beta = reflect(rs, i, alpha)
-            if beta in rs._coroot_of:
-                inner_word = reflection_word(rs, beta)
-                return (i,) + inner_word + (i,)
-    raise DomainError("no descent found for %r" % (alpha,))

@@ -76,6 +76,18 @@ def test_linear_affine_local_assemble_reduce_cotangent_closure():
     assert doc["points"] == [["-1"], ["1"]]
 
 
+def test_linear_cone_with_two_lines():
+    res = run_cli({"command": "linear-cone", "group": "T3",
+                   "payload": {"weights": [[1, 1, 0], [-1, -1, 0], [0, 1, 1],
+                                           [0, -1, -1], [1, 0, 0]]}})
+    assert res.returncode == 0, res.stderr
+    doc = json.loads(res.stdout)
+    # the lines (0,1,1), (1,0,-1) as +/- pairs, and -(1,0,0) reduced mod the lines
+    assert doc["rays"] == [["-1", "0", "1"], ["0", "-1", "-1"], ["0", "0", "-1"],
+                           ["0", "1", "1"], ["1", "0", "-1"]]
+    assert doc["halfspaces"] == [{"normal": ["-1", "1", "-1"], "offset": "0"}]
+
+
 def test_byte_determinism():
     req = {"command": "projective", "group": "A2", "payload": {"hw": [[2, 1]]}}
     a = run_cli(req)
@@ -102,6 +114,20 @@ def test_exit_codes():
                     "payload": {"generators": [[-1, 0]]}}).returncode == 3
     assert run_cli({"command": "projective", "group": "A2",
                     "payload": {"hw": [[0.5, 1]]}}).returncode == 2
+    # zero denominators, a non-list isotropy basis and a boolean scale
+    assert run_cli({"command": "projective", "group": "A2",
+                    "payload": {"hw": [["1/0", 1]]}}).returncode == 2
+    assert run_cli({"command": "reduce", "group": "T1",
+                    "payload": {"polyhedron": {"dim": 1, "halfspaces": [
+                        {"normal": [1], "offset": "1/0"}]},
+                        "mu": [0], "subspace": [[1]]}}).returncode == 2
+    assert run_cli({"command": "local-cone", "group": "T2",
+                    "payload": {"mu": [0, 0], "slice_weights": [[1, 0]],
+                                "case": "subtorus-isotropy",
+                                "isotropy_subtorus": 5}}).returncode == 2
+    assert run_cli({"command": "render", "group": "A2",
+                    "payload": {"result": {"polyhedron": {"dim": 2, "points": [[0, 0]]}},
+                                "scale": True}}).returncode == 2
     # nonzero exit emits no response document
     res = run_cli({"command": "roots", "group": "Q7"})
     assert res.stdout == b""

@@ -32,7 +32,6 @@ from liemoment.polyhedra import (
     hull,
     intersect,
     is_proper,
-    recession_cone,
     shift,
 )
 from liemoment.repweights import irrep_weights, union_weights
@@ -262,7 +261,6 @@ def test_assemble_strip():
                       isotropy_subtorus=[qv([1, 0])])
     strip = assemble_polytope([a, b])
     assert strip.lines == (qv([0, 1]),)
-    assert not is_proper(recession_cone(strip))
 
 
 def test_assemble_contained_in_each_local_cone():

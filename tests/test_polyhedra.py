@@ -4,12 +4,13 @@ import pytest
 
 from liemoment.errors import DomainError, ShapeError
 from liemoment.exactq import Q, qv, vzero
+from liemoment import polyhedra
 from liemoment.polyhedra import (
     cone_from_rays,
     cone_over,
     dd_convert,
     empty_polyhedron,
-    equal,
+    from_generators,
     from_halfspaces,
     from_json,
     full_space,
@@ -17,7 +18,6 @@ from liemoment.polyhedra import (
     intersect,
     is_proper,
     join_with_origin,
-    recession_cone,
     shift,
     slice_subspace,
     to_json,
@@ -166,8 +166,8 @@ def test_is_proper_and_contains():
 def test_equal_invariant_under_permutation():
     a = hull([qv([0, 0]), qv([2, 0]), qv([0, 2])])
     b = hull([qv([0, 2]), qv([0, 0]), qv([2, 0])])
-    assert equal(a, b)
-    assert not equal(a, shift(a, qv([1, 0])))
+    assert a == b
+    assert a != shift(a, qv([1, 0]))
 
 
 def test_empty_polyhedron_first_class():
@@ -202,8 +202,32 @@ def test_hull_membership_against_lp_oracle_small():
             assert p.contains(x) == in_hull(pts, x)
 
 
-def test_recession_cone():
-    strip = from_halfspaces(2, [(qv([1, 0]), Q(-1)), (qv([-1, 0]), Q(-1))])
-    rc = recession_cone(strip)
-    assert not is_proper(rc)
-    assert recession_cone(square()).points == (vzero(2),)
+def test_line_basis_out_of_rref_order():
+    # RREF rows (1,0,-1), (0,1,1) are stored in the reverse, lex order
+    p = from_generators(3, [vzero(3)], [qv([1, 0, 0])], [qv([1, 1, 0]), qv([0, 1, 1])])
+    assert p.lines == (qv([0, 1, 1]), qv([1, 0, -1]))
+    assert p.rays == (qv([0, 0, 1]),)
+    assert p.ineqs == ((qv([1, -1, 1]), Q(0)),)
+
+
+def test_at_most_two_dd_passes_per_conversion(monkeypatch):
+    calls = []
+    real = polyhedra._dd_cone
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(polyhedra, "_dd_cone", counting)
+    conversions = [
+        lambda: square(),
+        lambda: from_generators(3, [vzero(3)], [qv([1, 0, 0])], [qv([1, 1, 0])]),
+        lambda: from_generators(3, [qv([1, 2, 0]), qv([1, 2, 0])]),
+        lambda: from_halfspaces(2, [(qv([1, 0]), Q(0))]),
+        lambda: from_halfspaces(1, [(qv([1]), Q(1)), (qv([-1]), Q(0))]),
+        lambda: from_halfspaces(2, [], [(qv([1, 1]), Q(2))]),
+    ]
+    for convert in conversions:
+        del calls[:]
+        convert()
+        assert 1 <= len(calls) <= 2

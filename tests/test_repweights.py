@@ -53,8 +53,8 @@ def test_rejects_bad_highest_weights():
 
 
 def test_pi_lambda_a2_21():
-    pi = pi_lambda(A2, qv([2, 1]))
     ws = irrep_weights(A2, qv([2, 1]))
+    pi = pi_lambda(ws, qv([2, 1]))
     assert len(ws.weights()) == 12
     assert len(pi) == 11
     assert qv([3, -1]) not in pi
@@ -63,12 +63,20 @@ def test_pi_lambda_a2_21():
 
 
 def test_pi_lambda_no_trim():
-    pi = pi_lambda(A2, qv([2, 2]))
-    assert set(pi) == set(irrep_weights(A2, qv([2, 2])).weights())
+    ws = irrep_weights(A2, qv([2, 2]))
+    assert pi_lambda(ws, qv([2, 2])) == ws.weights()
 
 
 def test_pi_lambda_minuscule():
-    assert pi_lambda(A3, qv([1, 0, 0])) == (qv([1, 0, 0]),)
+    assert pi_lambda(irrep_weights(A3, qv([1, 0, 0])), qv([1, 0, 0])) == (qv([1, 0, 0]),)
+
+
+def test_pi_lambda_keeps_repeated_weight():
+    # (3,-1) = lam - alpha_2 with (lam, alpha_2 coroot) = 1
+    lam = qv([2, 1])
+    ws = irrep_weights(A2, lam)
+    assert qv([3, -1]) not in pi_lambda(ws, lam)
+    assert qv([3, -1]) in pi_lambda(union_weights([ws, ws]), lam)
 
 
 def test_union_weights():
