@@ -169,7 +169,7 @@ def _cotangent(rs, payload):
 def _closure(rs, payload):
     raw = _field(payload, "infinity_polytope")
     if isinstance(raw, dict) and "points" in raw and "halfspaces" not in raw:
-        poly = P.hull([_vec(rs, p) for p in raw["points"]])
+        poly = P.hull(_vec_list(rs, raw["points"]))
     else:
         poly = _polyhedron(rs, raw)
     closure = M.projective_closure_polytope(rs, poly)
@@ -216,7 +216,7 @@ def _render(rs, payload):
     weights = None
     if payload.get("weights"):
         systems = []
-        for entry in payload["weights"]:
+        for entry in _field(payload, "weights", list):
             if isinstance(entry, dict):
                 lam = _vec(rs, _field(entry, "hw"))
             else:

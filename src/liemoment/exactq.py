@@ -1,22 +1,19 @@
 """Exact rational scalars, vectors, and matrices.
 
 Every quantity that touches weight data is a rational number: scalars are
-``fractions.Fraction`` values (``gmpy2.mpq`` when available -- numerically
-identical, considerably faster), vectors are plain tuples of scalars, and
+``fractions.Fraction`` values, vectors are plain tuples of scalars, and
 matrices are tuples of row tuples.  Nothing in this package ever converts
-weight data to floating point.
+weight data to floating point.  (The double-description kernel in
+``polyhedra`` works on primitive ``int`` vectors internally and hands
+back ``Fraction`` values at its edge.)
 
 Scalars serialize as the strings ``"p/q"`` or ``"p"``.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction as Q
 from typing import Iterable, Tuple
-
-try:
-    from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover - gmpy2 is an optional speedup
-    from fractions import Fraction as Q
 
 from .errors import ShapeError
 
@@ -105,11 +102,6 @@ def transpose(a: Mat) -> Mat:
 
 def matvec(a: Mat, v: Vec) -> Vec:
     return tuple(dot(row, v) for row in a)
-
-
-def matmul(a: Mat, b: Mat) -> Mat:
-    bt = transpose(b)
-    return tuple(tuple(dot(ra, cb) for cb in bt) for ra in a)
 
 
 def _eliminate(rows):

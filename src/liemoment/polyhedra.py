@@ -10,6 +10,9 @@ equality.
 Conventions:
   * extreme rays, lines, and facet normals are scaled to primitive
     integer vectors; all lists are lexicographically sorted;
+  * the kernel (_dd_cone) runs on coprime Python int tuples only;
+    Fraction values enter through _primitive and leave through
+    _assemble, so every public field holds Fraction scalars;
   * a Cone is a polyhedron whose canonical point list is {0};
   * the empty polyhedron is a first-class value, never an error;
   * lower-dimensional polyhedra carry their affine hull as equalities,
@@ -18,7 +21,8 @@ Conventions:
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, ShapeError
@@ -44,19 +48,18 @@ from .exactq import (
 # primitive-vector normalization
 
 
-def _primitive(v: Vec) -> Vec:
-    """Scale by a positive rational so entries are coprime integers."""
-    denom_lcm = 1
-    for x in v:
-        d = x.denominator
-        denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
-    ints = [int(x * denom_lcm) for x in v]
-    g = 0
-    for n in ints:
-        g = gcd(g, abs(n))
-    if g == 0:
-        return tuple(Q(0) for _ in v)
-    return tuple(Q(n // g) for n in ints)
+def _primitive(v) -> Tuple[int, ...]:
+    """Scale by a positive rational so entries are coprime ints."""
+    m = lcm(*(x.denominator for x in v))
+    ints = [x.numerator * (m // x.denominator) for x in v]
+    g = gcd(*ints)
+    if g <= 1:
+        return tuple(ints)
+    return tuple(n // g for n in ints)
+
+
+def _idot(a, b) -> int:
+    return sum(map(mul, a, b))
 
 
 def _sign_normalized(v: Vec) -> Vec:
@@ -76,9 +79,10 @@ def _dd_cone(constraints: Sequence[Vec], dim: int):
     """Extreme rays and lineality basis of {x : a.x >= 0 for all a}.
 
     Incremental double description with the combinatorial adjacency test;
-    lines are kept explicit so non-pointed cones are exact.
+    lines are kept explicit so non-pointed cones are exact.  Constraints
+    may be rational; every vector inside and out is a primitive int tuple.
     """
-    lines: List[Vec] = [tuple(Q(1) if j == i else Q(0) for j in range(dim)) for i in range(dim)]
+    lines: List[Vec] = [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
     rays: List[List] = []  # [vector, active-constraint bitmask]
     cons: List[Vec] = []
 
@@ -100,31 +104,31 @@ def _dd_cone(constraints: Sequence[Vec], dim: int):
 
         pidx = None
         for idx, l in enumerate(lines):
-            if dot(a, l) != 0:
+            if _idot(a, l) != 0:
                 pidx = idx
                 break
         if pidx is not None:
             piv = lines.pop(pidx)
-            da = dot(a, piv)
+            da = _idot(a, piv)
             if da < 0:
                 piv = vneg(piv)
                 da = -da
-            lines = [vsub(l, vscale(piv, dot(a, l) / da)) for l in lines]
+            lines = [_combine(da, l, _idot(a, l), piv) for l in lines]
             newrays = []
             for vec, mask in rays:
-                dv = dot(a, vec)
+                dv = _idot(a, vec)
                 if dv != 0:
-                    vec = _primitive(vsub(vec, vscale(piv, dv / da)))
+                    vec = _combine(da, vec, dv, piv)
                 newrays.append([vec, mask | bit])
             full_mask = bit - 1  # the pivot was a line: orthogonal to all previous
-            newrays.append([_primitive(piv), full_mask])
+            newrays.append([piv, full_mask])
             rays = _dedupe_rays(newrays)
             cons.append(a)
             continue
 
         plus, zero, minus = [], [], []
         for entry in rays:
-            s = dot(a, entry[0])
+            s = _idot(a, entry[0])
             if s > 0:
                 plus.append(entry)
             elif s == 0:
@@ -140,7 +144,7 @@ def _dd_cone(constraints: Sequence[Vec], dim: int):
         if plus:
             current = rays
             for pv, pm in plus:
-                dp = dot(a, pv)
+                dp = _idot(a, pv)
                 for mv, mm in minus:
                     common = pm & mm
                     adjacent = True
@@ -152,19 +156,23 @@ def _dd_cone(constraints: Sequence[Vec], dim: int):
                             break
                     if not adjacent:
                         continue
-                    dm = dot(a, mv)
-                    w = _primitive(vsub(vscale(mv, dp), vscale(pv, dm)))
+                    w = _combine(dp, mv, _idot(a, mv), pv)
                     if is_zero(w):
                         continue
                     mask = bit
                     for j, c in enumerate(cons):
-                        if dot(c, w) == 0:
+                        if _idot(c, w) == 0:
                             mask |= 1 << j
                     newrays.append([w, mask])
         rays = _dedupe_rays(newrays)
         cons.append(a)
 
     return [v for v, _ in rays], lines
+
+
+def _combine(c, u, d, v) -> Tuple[int, ...]:
+    """Primitive form of the int combination c*u - d*v."""
+    return _primitive(tuple(c * x - d * y for x, y in zip(u, v)))
 
 
 def _dedupe_rays(entries):
@@ -197,7 +205,7 @@ def _reduce_mod(v: Vec, basis_rref: Sequence[Vec]) -> Vec:
     for row in basis_rref:
         p = next(i for i, x in enumerate(row) if x != 0)
         if v[p] != 0:
-            v = vsub(v, vscale(row, v[p] / row[p]))
+            v = vsub(v, vscale(row, Q(v[p], row[p])))
     return v
 
 
@@ -238,9 +246,6 @@ class Polyhedron:
 
     def is_cone(self) -> bool:
         return not self.empty and self.points == (vzero(self.dim),)
-
-    def is_polytope(self) -> bool:
-        return not self.empty and not self.rays and not self.lines
 
     def contains(self, x: Vec) -> bool:
         if len(x) != self.dim:
@@ -286,11 +291,12 @@ def _empty(dim: int) -> Polyhedron:
 
 
 def _assemble(dim, gen_rays, gen_lines, fac_rays, fac_lines) -> Polyhedron:
+    """Canonical Polyhedron from the kernel's int rays and lines, in Fraction form."""
     points = []
     rays = []
     for r in gen_rays:
         if r[0] > 0:
-            points.append(tuple(x / r[0] for x in r[1:]))
+            points.append(tuple(Q(x, r[0]) for x in r[1:]))
         else:
             rays.append(r[1:])
     if not points:
@@ -316,7 +322,7 @@ def _assemble(dim, gen_rays, gen_lines, fac_rays, fac_lines) -> Polyhedron:
     if eq_rows:
         reduced, _ = rref(tuple(eq_rows))
         eq_canon = tuple(_sign_normalized(_primitive(r)) for r in reduced)
-    eqs = tuple(sorted((r[:-1], r[-1]) for r in eq_canon))
+    eqs = tuple(sorted((qv(r[:-1]), Q(r[-1])) for r in eq_canon))
 
     ineqs = set()
     for f in fac_rays:
@@ -330,14 +336,14 @@ def _assemble(dim, gen_rays, gen_lines, fac_rays, fac_lines) -> Polyhedron:
             continue
         prow = _primitive(tuple(nn) + (bb,))
         # keep orientation: normal.x >= offset scales by positive factors only
-        ineqs.add((prow[:-1], prow[-1]))
+        ineqs.add((qv(prow[:-1]), Q(prow[-1])))
 
     return Polyhedron(
         dim,
         False,
         tuple(red_points),
-        tuple(sorted(red_rays)),
-        lcanon,
+        tuple(qv(r) for r in sorted(red_rays)),
+        tuple(qv(l) for l in lcanon),
         tuple(sorted(ineqs)),
         eqs,
     )
@@ -418,31 +424,7 @@ def hull(points: Sequence[Vec]) -> Polyhedron:
     for p in pts:
         if len(p) != dim:
             raise ShapeError("points of mixed dimension in hull")
-    if dim == 2 and len(pts) > 8:
-        pts = _planar_hull(pts)
     return from_generators(dim, pts)
-
-
-def _planar_hull(pts):
-    """Exact monotone-chain prefilter: the extreme points of a 2-D set."""
-    uniq = sorted(set(pts))
-    if len(uniq) <= 2:
-        return uniq
-
-    def turn(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    def chain(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2 and turn(out[-2], out[-1], p) <= 0:
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = chain(uniq)
-    upper = chain(reversed(uniq))
-    return lower[:-1] + upper[:-1]
 
 
 def cone_from_rays(rays: Sequence[Vec], dim: Optional[int] = None) -> Polyhedron:
@@ -559,10 +541,13 @@ def from_json(obj: dict) -> Polyhedron:
     """
     if not isinstance(obj, dict):
         raise ShapeError("polyhedron JSON must be an object")
+    given_dim = obj.get("dim")
+    if "dim" in obj and (not isinstance(given_dim, int) or isinstance(given_dim, bool)):
+        raise ShapeError("polyhedron JSON dim must be an integer")
     if obj.get("empty"):
         if "dim" not in obj:
             raise ShapeError("empty polyhedron JSON needs a dim field")
-        return _empty(int(obj["dim"]))
+        return _empty(given_dim)
     try:
         points = [qv(v) for v in obj.get("points", [])]
         rays = [qv(v) for v in obj.get("rays", [])]
@@ -573,7 +558,7 @@ def from_json(obj: dict) -> Polyhedron:
         raise ShapeError("malformed polyhedron JSON")
     dims = {len(v) for v in points} | {len(v) for v in rays} | {len(n) for n, _ in halfspaces}
     if "dim" in obj:
-        dims.add(int(obj["dim"]))
+        dims.add(given_dim)
     if len(dims) != 1:
         raise ShapeError("inconsistent or missing dimensions in polyhedron JSON")
     dim = dims.pop()

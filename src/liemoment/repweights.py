@@ -14,26 +14,15 @@ from typing import Dict, List, Sequence, Tuple
 
 from .errors import DomainError, ShapeError
 from .exactq import Q, Vec, inverse, matvec, qfloor, qstr, qv, transpose, vadd, vsub
-from . import rootsys
-from .rootsys import RootSystem, build, dominantize, weyl_orbit
-
-_FACTOR_CACHE: Dict[Tuple[str, int], RootSystem] = {}
-
-
-def _factor_system(letter: str, n: int) -> RootSystem:
-    key = (letter, n)
-    if key not in _FACTOR_CACHE:
-        _FACTOR_CACHE[key] = build(rootsys.GroupSpec([(letter, n)], 0))
-    return _FACTOR_CACHE[key]
+from .rootsys import RootSystem, dominantize, weyl_orbit
 
 
 class WeightSystem:
     """Finite map weight -> multiplicity for one (possibly reducible) module."""
 
-    def __init__(self, rs: RootSystem, dominant_mults: Dict[Vec, int], hw_list):
+    def __init__(self, rs: RootSystem, dominant_mults: Dict[Vec, int]):
         self.rs = rs
         self._dominant = dict(dominant_mults)
-        self.hw_list = tuple(hw_list)
         self._expanded = None
 
     @property
@@ -131,8 +120,8 @@ def irrep_weights(rs: RootSystem, lam: Vec) -> WeightSystem:
     _require_dominant_integral(rs, lam)
     factor_mults = []
     off = 0
-    for letter, n in rs.spec.factors:
-        frs = _factor_system(letter, n)
+    for frs in rs.factor_systems:
+        n = frs.rank
         factor_mults.append(_factor_dominant_mults(frs, lam[off : off + n]))
         off += n
     torus_part = lam[rs.ss_rank :]
@@ -145,7 +134,7 @@ def irrep_weights(rs: RootSystem, lam: Vec) -> WeightSystem:
             vec = vec + w
             mult *= m
         combined[vec + torus_part] = mult
-    return WeightSystem(rs, combined, [lam])
+    return WeightSystem(rs, combined)
 
 
 def dim(rs: RootSystem, lam: Vec) -> int:
@@ -190,15 +179,13 @@ def union_weights(systems: Sequence[WeightSystem], rs: RootSystem = None) -> Wei
     if not systems:
         if rs is None:
             raise DomainError("union of an empty list needs an explicit root system")
-        return WeightSystem(rs, {}, [])
+        return WeightSystem(rs, {})
     first = systems[0].rs
     for s in systems[1:]:
         if s.rs.spec != first.spec:
             raise ShapeError("weight systems over different root systems")
     out: Dict[Vec, int] = {}
-    hw: List[Vec] = []
     for s in systems:
         for mu, m in s._dominant.items():
             out[mu] = out.get(mu, 0) + m
-        hw.extend(s.hw_list)
-    return WeightSystem(first, out, sorted(hw))
+    return WeightSystem(first, out)

@@ -12,6 +12,7 @@ Simple-reflection indices are 0-based throughout.
 from __future__ import annotations
 
 import re
+from functools import cached_property
 from math import factorial
 from typing import Dict, List, Tuple
 
@@ -294,6 +295,14 @@ class RootSystem:
         for letter, r in self.spec.factors:
             n *= _weyl_order(letter, r)
         return n
+
+    @cached_property
+    def factor_systems(self) -> Tuple["RootSystem", ...]:
+        """One root system per simple factor, in order; (self,) when there
+        is a single simple factor and no torus."""
+        if len(self.spec.factors) == 1 and not self.torus_rank:
+            return (self,)
+        return tuple(RootSystem(GroupSpec([f])) for f in self.spec.factors)
 
 
 def build(spec) -> RootSystem:

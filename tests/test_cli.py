@@ -128,6 +128,17 @@ def test_exit_codes():
     assert run_cli({"command": "render", "group": "A2",
                     "payload": {"result": {"polyhedron": {"dim": 2, "points": [[0, 0]]}},
                                 "scale": True}}).returncode == 2
+    # a non-integer polyhedron dim, and non-list weights and points
+    for poly in ({"dim": [1], "points": [[0]]}, {"empty": True, "dim": None},
+                 {"empty": True, "dim": True}):
+        assert run_cli({"command": "reduce", "group": "T1",
+                        "payload": {"polyhedron": poly, "mu": [0],
+                                    "subspace": [[1]]}}).returncode == 2
+    assert run_cli({"command": "render", "group": "A2",
+                    "payload": {"result": {"polyhedron": {"dim": 2, "points": [[0, 0]]}},
+                                "weights": 5}}).returncode == 2
+    assert run_cli({"command": "closure", "group": "A2",
+                    "payload": {"infinity_polytope": {"points": 5}}}).returncode == 2
     # nonzero exit emits no response document
     res = run_cli({"command": "roots", "group": "Q7"})
     assert res.stdout == b""

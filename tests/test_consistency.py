@@ -78,6 +78,15 @@ def test_random_hulls_match_lp_oracle_3d():
         for _ in range(60):
             x = qv([Q(rng.randint(-14, 14), 2) for _ in range(3)])
             assert p.contains(x) == in_hull(pts, x)
+    # larger planar sets: many interior and collinear points, one DD path
+    for _ in range(6):
+        pts = [qv([Q(rng.randint(-6, 6), rng.choice((1, 2))) for _ in range(2)])
+               for _ in range(rng.randint(9, 40))]
+        p = hull(pts)
+        both_forms_consistent(p)
+        for _ in range(40):
+            x = qv([Q(rng.randint(-14, 14), 2) for _ in range(2)])
+            assert p.contains(x) == in_hull(pts, x)
 
 
 def test_random_cones_match_lp_oracle():

@@ -76,6 +76,29 @@ def test_rays_primitive_integer():
     assert c.rays == (qv([1, 0]), qv([1, 2]))
 
 
+def test_kernel_ints_inside_fractions_outside():
+    from fractions import Fraction
+    rays, lines = polyhedra._dd_cone(
+        [qv(["1/2", "1/3", 0]), qv([0, "-2/5", "3/7"]), qv([0, 0, 1])], 3)
+    assert rays or lines
+    for v in rays + lines:
+        assert isinstance(v, tuple) and all(type(x) is int for x in v)
+    polys = [
+        from_generators(2, [qv(["1/2", "1/3"]), qv(["-5/7", 2]), qv([0, "9/4"])]),
+        from_generators(3, [qv(["1/3", 0, 1])], [qv([1, 1, 0])], [qv(["2/3", 0, "1/3"])]),
+        from_halfspaces(3, [(qv([1, 0, 0]), Q(-1, 2)), (qv([0, 1, 0]), Q(0))],
+                        [(qv(["1/3", 0, 1]), Q(1, 5))]),
+        from_halfspaces(2, [(qv([1, 0]), Q(1)), (qv([-1, 0]), Q(0))]),
+    ]
+    assert not polys[2].empty and polys[2].eqs and polys[1].lines
+    assert polys[3].empty
+    for p in polys:
+        scalars = [x for v in p.points + p.rays + p.lines for x in v]
+        for n, b in p.ineqs + p.eqs:
+            scalars.extend(n + (b,))
+        assert all(type(x) is Fraction for x in scalars)
+
+
 def test_dd_round_trip():
     polys = [
         square(),
