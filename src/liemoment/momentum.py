@@ -13,7 +13,7 @@ no known result applies).
 
 from __future__ import annotations
 
-from itertools import combinations
+from operator import add
 from typing import List, Optional, Sequence
 
 from .errors import DomainError, ShapeError, UnsupportedCaseError
@@ -25,8 +25,8 @@ from .polyhedra import (
     empty_polyhedron,
     from_generators,
     from_halfspaces,
-    full_space,
     hull,
+    hull_vertices_cut,
     intersect,
     is_proper,
     join_with_origin,
@@ -39,6 +39,7 @@ from .rootsys import (
     RootSystem,
     dominant_roots,
     dominantize,
+    orbit_size,
     star,
     star_linear,
     weyl_orbit,
@@ -273,28 +274,28 @@ def _lower_bound_with_strategy(rs: RootSystem, system: WeightSystem):
     if n == 0:
         return empty_polyhedron(rs.rank), "empty"
     mults = system.entries
-    root_set = rs._root_set
-    adj = [0] * n
-    for i, j in combinations(range(n), 2):
-        diff = vsub(weights[i], weights[j])
-        ok = diff not in root_set or mults[weights[i]] >= 2 or mults[weights[j]] >= 2
-        if ok:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
+    # complete graph minus the edges w -- w + beta (beta a positive root)
+    # whose endpoints both have multiplicity one
+    index = {w: i for i, w in enumerate(weights)}
+    full = (1 << n) - 1
+    adj = [full & ~(1 << i) for i in range(n)]
+    for i, w in enumerate(weights):
+        if mults[w] != 1:
+            continue
+        for beta in rs.positive_roots:
+            j = index.get(tuple(map(add, w, beta)))
+            if j is not None and mults[weights[j]] == 1:
+                adj[i] &= ~(1 << j)
+                adj[j] &= ~(1 << i)
 
     if n <= _CLIQUE_EXHAUSTIVE_LIMIT:
         cliques = _maximal_cliques(adj, n)
         strategy = "cliques-exhaustive"
     else:
-        size_cache = {}
+        def size(i):
+            return orbit_size(rs, dominantize(rs, weights[i])[0])
 
-        def orbit_size(i):
-            dom, _ = dominantize(rs, weights[i])
-            if dom not in size_cache:
-                size_cache[dom] = len(weyl_orbit(rs, dom))
-            return size_cache[dom]
-
-        order = sorted(range(n), key=lambda i: (-orbit_size(i), weights[i]))
+        order = sorted(range(n), key=lambda i: (-size(i), weights[i]))
         cliques = _greedy_cover_cliques(adj, order)
         strategy = "cliques-greedy-cover"
 
@@ -312,8 +313,7 @@ def _lower_bound_with_strategy(rs: RootSystem, system: WeightSystem):
             m &= m - 1
             members.append(weights[v])
         pts = [star_linear(rs, w) for w in _extreme_candidates(rs, members)]
-        piece = intersect(cham, hull(pts))
-        verts.update(piece.points)
+        verts.update(hull_vertices_cut(pts, cham.ineqs))
     if not verts:
         return empty_polyhedron(rs.rank), strategy
     return hull(sorted(verts)), strategy

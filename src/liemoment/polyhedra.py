@@ -427,6 +427,22 @@ def hull(points: Sequence[Vec]) -> Polyhedron:
     return from_generators(dim, pts)
 
 
+def hull_vertices_cut(points: Sequence[Vec],
+                      halfspaces: Iterable[Tuple[Vec, Q]]) -> Tuple[Vec, ...]:
+    """Sorted vertices of hull(points) cut by the halfspaces normal.x >= offset.
+
+    Two DD passes instead of the four of intersect(from_halfspaces, hull):
+    one from the points to their facets, one from those facets plus the
+    cuts to the generators, read back as Fraction vertices.
+    """
+    dim = len(points[0])
+    gens = [(1,) + tuple(p) for p in points]
+    fac_rays, fac_lines = _dual(dim, gens, ())
+    cuts = [(-b,) + tuple(n) for n, b in halfspaces]
+    gen_rays, _ = _dual(dim, fac_rays, fac_lines, (1,) + (0,) * dim, *cuts)
+    return tuple(sorted({tuple(Q(x, r[0]) for x in r[1:]) for r in gen_rays if r[0] > 0}))
+
+
 def cone_from_rays(rays: Sequence[Vec], dim: Optional[int] = None) -> Polyhedron:
     """Convex cone spanned by rays; {} spans the origin cone."""
     rys = [tuple(r) for r in rays]

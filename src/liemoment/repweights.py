@@ -14,7 +14,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .errors import DomainError, ShapeError
 from .exactq import Q, Vec, inverse, matvec, qfloor, qstr, qv, transpose, vadd, vsub
-from .rootsys import RootSystem, dominantize, weyl_orbit
+from .rootsys import MAX_ENUMERATION, RootSystem, dominantize, weyl_orbit
 
 
 class WeightSystem:
@@ -116,8 +116,13 @@ def _factor_dominant_mults(frs: RootSystem, lam: Vec) -> Dict[Vec, int]:
 
 
 def irrep_weights(rs: RootSystem, lam: Vec) -> WeightSystem:
-    """All weights with multiplicities of the irreducible with highest weight lam."""
-    _require_dominant_integral(rs, lam)
+    """All weights with multiplicities of the irreducible with highest weight lam.
+
+    Modules of dimension above MAX_ENUMERATION are refused."""
+    size = dim(rs, lam)
+    if size > MAX_ENUMERATION:
+        raise DomainError("module of dimension %d exceeds the limit of %d"
+                          % (size, MAX_ENUMERATION))
     factor_mults = []
     off = 0
     for frs in rs.factor_systems:
@@ -138,7 +143,10 @@ def irrep_weights(rs: RootSystem, lam: Vec) -> WeightSystem:
 
 
 def dim(rs: RootSystem, lam: Vec) -> int:
-    """Dimension by the product formula over positive coroots (cross-check oracle)."""
+    """Dimension by the product formula over positive coroots.
+
+    It cross-checks the Freudenthal weights, and irrep_weights compares it
+    with MAX_ENUMERATION before enumerating anything."""
     _require_dominant_integral(rs, lam)
     rho = qv([1] * rs.ss_rank + [0] * rs.torus_rank)
     lam_rho = vadd(lam, rho)

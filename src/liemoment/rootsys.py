@@ -6,6 +6,15 @@ is a sign check and reflections are row operations with the Cartan
 matrix.  Central-torus coordinates are appended after the semisimple
 ones and are fixed by every reflection.
 
+The root data is integral in these coordinates, and is held as ``int``
+tuples: the positive roots, their coroot functionals and the matrix of
+the involution ``*``.  The Cartan matrix, the simple roots and the
+invariant inner product hold ``Fraction`` values.  Weyl orbits come from
+a walk down from the dominant representative, on ``int`` tuples scaled
+by the common denominator; an orbit or module larger than
+``MAX_ENUMERATION`` points is refused with a ``DomainError`` before it is
+enumerated.
+
 Simple-reflection indices are 0-based throughout.
 """
 
@@ -13,7 +22,8 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
-from math import factorial
+from math import factorial, lcm
+from operator import mul
 from typing import Dict, List, Tuple
 
 from .errors import DomainError, ShapeError
@@ -31,6 +41,12 @@ from .exactq import (
     vsub,
     vscale,
 )
+
+# Largest Weyl orbit (rootsys.weyl_orbit) or module dimension
+# (repweights.irrep_weights) a request may enumerate.  The E6 orbit of
+# (1,1,1,1,1,1) has 51,840 points and B4 (1,1,1,1) dimension 65,536; a
+# generic E8 orbit has 696,729,600 points and would exhaust memory.
+MAX_ENUMERATION = 10 ** 6
 
 _FACTOR_RE = re.compile(r"^([ABCDEFGT])(\d+)$")
 
@@ -170,25 +186,34 @@ class GroupSpec:
         return hash((self.factors, self.torus_rank))
 
 
+def _integral(v) -> Tuple[int, ...]:
+    """An integral rational vector as an int tuple."""
+    if any(x.denominator != 1 for x in v):
+        raise ArithmeticError("non-integral root datum %r" % (v,))
+    return tuple(int(x) for x in v)
+
+
 def _factor_roots(cartan_rows):
-    """All roots of one simple factor by reflection closure, split by sign."""
+    """All roots of one simple factor by reflection closure, split by sign.
+
+    Returns (root, simple-root coefficients) pairs of int tuples."""
     n = len(cartan_rows)
-    simple = [qv(row) for row in cartan_rows]
+    simple = [tuple(row) for row in cartan_rows]
     seen = set(simple)
     queue = list(simple)
     while queue:
         beta = queue.pop()
         for i in range(n):
-            ref = vsub(beta, vscale(simple[i], beta[i]))
+            ref = tuple(b - beta[i] * a for b, a in zip(beta, simple[i]))
             if ref not in seen:
                 seen.add(ref)
                 queue.append(ref)
-    cinv_t = transpose(inverse(tuple(simple)))
+    cinv_t = transpose(inverse(tuple(qv(row) for row in simple)))
     positive = []
     for beta in seen:
         coeffs = matvec(cinv_t, beta)
         if all(c >= 0 for c in coeffs):
-            positive.append((beta, coeffs))
+            positive.append((beta, _integral(coeffs)))
     positive.sort()
     return positive
 
@@ -224,27 +249,31 @@ class RootSystem:
         self.simple_roots = tuple(row + pad for row in self.cartan)
 
         positive = []
-        pairing: Dict[Vec, Vec] = {}
+        pairing: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+        supports = []
         for fi, (letter, n) in enumerate(spec.factors):
             rows, ds = _cartan_and_lengths(letter, n)
             o = offsets[fi]
+            tail = (0,) * (self.rank - o - n)
             for beta, coeffs in _factor_roots(rows):
-                full = (Q(0),) * o + beta + (Q(0),) * (self.rank - o - n)
+                full = (0,) * o + beta + tail
                 # (lambda, coroot of beta) as a linear functional on weights:
                 # coroot = sum_i c_i (d_i / d_beta) alpha_i-check.
-                d_beta = sum(
+                d_beta = Q(sum(
                     coeffs[i] * coeffs[j] * rows[i][j] * ds[j]
                     for i in range(n)
                     for j in range(n)
-                ) / 2
-                check = tuple(coeffs[i] * ds[i] / d_beta for i in range(n))
-                fullcheck = (Q(0),) * o + check + (Q(0),) * (self.rank - o - n)
+                ), 2)
+                check = _integral([coeffs[i] * ds[i] / d_beta for i in range(n)])
                 positive.append(full)
-                pairing[full] = fullcheck
+                pairing[full] = (0,) * o + check + tail
+                supports.append((frozenset(o + i for i in range(n) if coeffs[i]),
+                                 sum(coeffs)))
         positive.sort()
         self.positive_roots = tuple(positive)
         self._coroot_of = pairing
-        self._root_set = frozenset(positive) | frozenset(vneg(b) for b in positive)
+        # (support, height) of each positive root in the simple-root basis
+        self._root_supports = tuple(supports)
 
         # Weyl-invariant inner product in weight coordinates:
         # Gram = C^{-1} D on the semisimple block, identity on the torus.
@@ -322,19 +351,59 @@ def reflect(rs: RootSystem, i: int, lam: Vec) -> Vec:
     return vsub(lam, vscale(rs.simple_roots[i], lam[i]))
 
 
+def orbit_size(rs: RootSystem, lam: Vec) -> int:
+    """Number of points in the Weyl orbit of a dominant weight, in closed form.
+
+    The stabilizer of a dominant lam is the parabolic subgroup W_lam on its
+    zero coordinates.  Its order is the product of the degrees m + 1 over
+    its exponents m, which Kostant's theorem reads off the positive roots
+    supported there: the number of exponents >= j is the number of those
+    roots of height j.
+    """
+    zero = {i for i in range(rs.ss_rank) if lam[i] == 0}
+    per_height: Dict[int, int] = {}
+    for support, height in rs._root_supports:
+        if support <= zero:
+            per_height[height] = per_height.get(height, 0) + 1
+    stabilizer = 1
+    for j in range(1, per_height.get(1, 0) + 1):
+        stabilizer *= 1 + sum(1 for count in per_height.values() if count >= j)
+    return rs.weyl_order() // stabilizer
+
+
 def weyl_orbit(rs: RootSystem, lam: Vec) -> Tuple[Vec, ...]:
-    """Full Weyl orbit, lexicographically sorted."""
-    rs.check_dim(lam)
-    seen = {lam}
-    queue = [lam]
+    """Full Weyl orbit, lexicographically sorted.
+
+    The walk starts at the dominant representative scaled by the common
+    denominator d of its coordinates, and applies s_i only where
+    coordinate i is positive.  That reaches every orbit point: a
+    non-dominant point has a negative coordinate i, and s_i moves it up to
+    a point whose coordinate i is positive, from which the walk steps back
+    down.  Points are int tuples when d = 1 and Fraction tuples otherwise.
+    Orbits of more than MAX_ENUMERATION points are refused.
+    """
+    dom, _ = dominantize(rs, lam)
+    size = orbit_size(rs, dom)
+    if size > MAX_ENUMERATION:
+        raise DomainError("Weyl orbit of %d points exceeds the limit of %d"
+                          % (size, MAX_ENUMERATION))
+    d = lcm(*(x.denominator for x in dom))
+    top = tuple(x.numerator * (d // x.denominator) for x in dom)
+    simple = [_integral(row) for row in rs.simple_roots]
+    seen = {top}
+    queue = [top]
     while queue:
         mu = queue.pop()
-        for i in range(rs.ss_rank):
-            nu = reflect(rs, i, mu)
-            if nu not in seen:
-                seen.add(nu)
-                queue.append(nu)
-    return tuple(sorted(seen))
+        for i, alpha in enumerate(simple):
+            c = mu[i]
+            if c > 0:
+                nu = tuple(x - c * a for x, a in zip(mu, alpha))
+                if nu not in seen:
+                    seen.add(nu)
+                    queue.append(nu)
+    if d == 1:
+        return tuple(sorted(seen))
+    return tuple(tuple(Q(x, d) for x in v) for v in sorted(seen))
 
 
 def dominantize(rs: RootSystem, lam: Vec):
@@ -360,17 +429,19 @@ def star(rs: RootSystem, lam: Vec) -> Vec:
 
 
 def star_matrix(rs: RootSystem):
-    """Matrix of the linear involution -w0 in weight coordinates."""
+    """Matrix of the linear involution -w0 in weight coordinates (int rows)."""
     if rs._star_matrix is None:
-        cols = [star(rs, basis) for basis in identity(rs.rank)]
+        cols = [_integral(star(rs, basis)) for basis in identity(rs.rank)]
         rs._star_matrix = transpose(tuple(cols))
     return rs._star_matrix
 
 
 def star_linear(rs: RootSystem, v: Vec) -> Vec:
-    """-w0 applied to an arbitrary (not necessarily dominant) vector."""
+    """-w0 applied to an arbitrary (not necessarily dominant) vector.
+
+    Int in, int out: the matrix is integral."""
     rs.check_dim(v)
-    return matvec(star_matrix(rs), v)
+    return tuple(sum(map(mul, row, v)) for row in star_matrix(rs))
 
 
 def dominant_roots(rs: RootSystem) -> Tuple[Vec, ...]:

@@ -74,3 +74,20 @@ def in_hull(points, x):
     rows.append([Q(1)] * n)
     rhs = list(x) + [Q(1)]
     return lp_feasible(rows, rhs)
+
+
+def reflection_closure(simple_roots, lam):
+    """Weyl orbit of lam: the closure of {lam} under the simple reflections
+    s_i(v) = v - v_i alpha_i, on Fraction vectors, in no particular order.
+    It walks in every direction and shares no code with rootsys.weyl_orbit."""
+    start = tuple(Q(x) for x in lam)
+    seen = {start}
+    queue = [start]
+    while queue:
+        v = queue.pop()
+        for i, alpha in enumerate(simple_roots):
+            w = tuple(x - v[i] * a for x, a in zip(v, alpha))
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return seen

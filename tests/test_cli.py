@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 PY = [sys.executable, "-m", "liemoment.cli"]
 
@@ -143,6 +144,22 @@ def test_exit_codes():
     res = run_cli({"command": "roots", "group": "Q7"})
     assert res.stdout == b""
     assert b"error" in res.stderr
+
+
+def test_oversized_inputs_refused_fast():
+    # a generic E8 orbit has 696,729,600 points, the A1 module 10^8 + 1 weights
+    for req in ({"command": "orbit", "group": "E8", "payload": {"weight": [1] * 8}},
+                {"command": "irrep", "group": "A1", "payload": {"hw": [100000000]}},
+                {"command": "projective", "group": "A1",
+                 "payload": {"hw": [[1], [100000000]]}},
+                {"command": "render", "group": "A1",
+                 "payload": {"result": {"polyhedron": {"dim": 1, "points": [[0]]}},
+                             "weights": [[100000000]]}}):
+        start = time.perf_counter()
+        res = run_cli(req)
+        assert time.perf_counter() - start < 1.0, req
+        assert res.returncode == 3, (req, res.stderr)
+        assert b"exceeds the limit" in res.stderr
 
 
 def test_render_unsupported_rank():

@@ -142,18 +142,12 @@ def answer(text):
 
 
 def test_golden_corpus():
-    with open(RESPONSES, encoding="utf-8") as fh:
-        stored = json.load(fh)
-    assert sorted(stored) == sorted(name for name, _ in REQUESTS)
-    for name, text in REQUESTS:
-        assert answer(text) == stored[name], name
-
-
-def test_golden_corpus_covers_every_command_and_exit_code():
     from liemoment import cli
 
     with open(RESPONSES, encoding="utf-8") as fh:
         stored = json.load(fh)
+    assert sorted(stored) == sorted(name for name, _ in REQUESTS)
+    # every command and every exit code is in the corpus
     commands = set()
     for _, text in REQUESTS:
         try:
@@ -162,6 +156,8 @@ def test_golden_corpus_covers_every_command_and_exit_code():
             pass
     assert set(cli._COMMANDS) | {"render"} <= commands
     assert {doc["rc"] for doc in stored.values()} == {0, 2, 3, 4}
+    for name, text in REQUESTS:
+        assert answer(text) == stored[name], name
 
 
 if __name__ == "__main__":

@@ -128,6 +128,42 @@ def test_lower_bound_replicated_copies():
     assert lower_bound_projective(A2, ws) == orbit_hull_in_chamber(A2, qv([1, 0]))
 
 
+def test_clique_edges_match_pairwise_definition(monkeypatch):
+    """Two weights are adjacent unless they differ by a root and both have
+    multiplicity one; the graph handed to either clique strategy is that."""
+    from liemoment import momentum
+
+    seen = []
+    for name in ("_maximal_cliques", "_greedy_cover_cliques"):
+        real = getattr(momentum, name)
+
+        def recording(adj, arg, real=real):
+            seen.append(list(adj))
+            return real(adj, arg)
+
+        monkeypatch.setattr(momentum, name, recording)
+    cases = [(A2, [(2, 1)]), (A2, [(2, 1), (2, 1)]), (A3, [(1, 0, 1)]),
+             (build("C3"), [(0, 1, 0)]), (build("A2xA1"), [(1, 0, 1), (0, 1, 0)]),
+             (B2, [(1, 1)]), (build("B3"), [(1, 0, 1)]), (A2, [(3, 1), (0, 1)])]
+    strategies = set()
+    for rs, hws in cases:
+        system = union_weights([irrep_weights(rs, qv(h)) for h in hws])
+        del seen[:]
+        lower_bound_projective(rs, system)
+        weights = sorted(system.entries)
+        mults = system.entries
+        roots = set(rs.positive_roots) | {tuple(-x for x in b) for b in rs.positive_roots}
+        expected = [0] * len(weights)
+        for i, u in enumerate(weights):
+            for j, v in enumerate(weights):
+                diff = tuple(x - y for x, y in zip(u, v))
+                if i != j and (diff not in roots or mults[u] >= 2 or mults[v] >= 2):
+                    expected[i] |= 1 << j
+        assert seen == [expected], (rs.spec, hws)
+        strategies.add(len(weights) > momentum._CLIQUE_EXHAUSTIVE_LIMIT)
+    assert strategies == {False, True}
+
+
 def test_momentum_polytope_fig1():
     ans = momentum_polytope_projective(A2, [qv([2, 1])])
     assert ans.certificate == "rank-two-classification"

@@ -15,6 +15,7 @@ from liemoment.polyhedra import (
     from_json,
     full_space,
     hull,
+    hull_vertices_cut,
     intersect,
     is_proper,
     join_with_origin,
@@ -254,3 +255,36 @@ def test_at_most_two_dd_passes_per_conversion(monkeypatch):
         del calls[:]
         convert()
         assert 1 <= len(calls) <= 2
+
+
+def test_hull_vertices_cut_matches_intersect(monkeypatch):
+    """Two DD passes give the vertices of intersect(cuts, hull(points))."""
+    calls = []
+    real = polyhedra._dd_cone
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    rng = random.Random(17)
+    nonempty = 0
+    for _ in range(150):
+        dim = rng.randint(1, 4)
+        pts = [tuple(Q(rng.randint(-6, 6), rng.choice((1, 1, 2, 3))) for _ in range(dim))
+               for _ in range(rng.randint(1, 9))]
+        cuts = [(tuple(Q(rng.randint(-2, 2)) for _ in range(dim)), Q(rng.randint(-3, 2)))
+                for _ in range(rng.randint(0, 3))]
+        if rng.random() < 0.2:  # the chamber rows of a rank-dim group
+            cuts = [(tuple(Q(int(i == j)) for j in range(dim)), Q(0)) for i in range(dim)]
+        monkeypatch.setattr(polyhedra, "_dd_cone", counting)
+        del calls[:]
+        verts = hull_vertices_cut(pts, cuts)
+        assert len(calls) == 2
+        monkeypatch.setattr(polyhedra, "_dd_cone", real)
+        assert verts == intersect(from_halfspaces(dim, cuts), hull(pts)).points
+        assert all(isinstance(x, Q) for v in verts for x in v)
+        nonempty += bool(verts)
+        for v in verts:
+            assert in_hull(pts, v)
+            assert all(sum(a * x for a, x in zip(n, v)) >= b for n, b in cuts)
+    assert nonempty > 75

@@ -52,6 +52,12 @@ def test_rejects_bad_highest_weights():
         dim(A2, qv([0, -2]))
 
 
+def test_oversized_irrep_refused_before_enumeration():
+    assert dim(build("B4"), qv([1, 1, 1, 1])) == 65536
+    with pytest.raises(DomainError, match="dimension 100000001"):
+        irrep_weights(build("A1"), qv([100000000]))
+
+
 def test_pi_lambda_a2_21():
     ws = irrep_weights(A2, qv([2, 1]))
     pi = pi_lambda(ws, qv([2, 1]))

@@ -1,19 +1,25 @@
 import random
+from itertools import product
 
 import pytest
 
 from liemoment.errors import DomainError
 from liemoment.exactq import Q, qv, vneg
 from liemoment.rootsys import (
+    MAX_ENUMERATION,
     GroupSpec,
     build,
     dominant_roots,
     dominantize,
+    orbit_size,
     reflect,
     star,
     star_linear,
+    star_matrix,
     weyl_orbit,
 )
+
+from oracles import reflection_closure
 
 A2 = build("A2")
 B2 = build("B2")
@@ -188,3 +194,63 @@ def test_star_diagram_automorphisms():
     assert star(e6, qv([0, 0, 1, 0, 0, 0])) == qv([0, 0, 0, 0, 1, 0])
     e7 = build("E7")
     assert star(e7, qv([0, 1, 0, 0, 0, 1, 0])) == qv([0, 1, 0, 0, 0, 1, 0])
+
+
+ORBIT_GROUPS = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2", "F4", "A2xA1xT1")
+
+
+def test_weyl_orbit_matches_reflection_closure():
+    rng = random.Random(23)
+    for name in ORBIT_GROUPS:
+        rs = build(name)
+        for kind in ("integral", "rational", "integral", "rational"):
+            den = (lambda: 1) if kind == "integral" else (lambda: rng.randint(1, 4))
+            lam = qv([Q(rng.randint(-3, 3), den()) for _ in range(rs.ss_rank)]
+                     + [Q(rng.randint(-5, 5), den()) or Q(1) for _ in range(rs.torus_rank)])
+            orbit = weyl_orbit(rs, lam)
+            assert list(orbit) == sorted(orbit)
+            assert len(set(orbit)) == len(orbit)
+            assert set(orbit) == reflection_closure(rs.simple_roots, lam), (name, lam)
+
+
+def test_weyl_orbit_number_types():
+    for name, lam in (("B3", [1, -2, 3]), ("A2xA1xT1", [0, 1, -1, 4]), ("G2", [0, 0])):
+        orbit = weyl_orbit(build(name), qv(lam))
+        assert all(type(x) is int for w in orbit for x in w), name
+    for name, lam in (("A2", ["1/2", "-1/3"]), ("A2xA1xT1", [1, 0, 1, "1/2"])):
+        orbit = weyl_orbit(build(name), qv(lam))
+        assert all(type(x) is Q for w in orbit for x in w), name
+        assert any(x.denominator > 1 for w in orbit for x in w), name
+
+
+def test_root_data_holds_ints():
+    for name in ORBIT_GROUPS + ("E6", "C2xT1"):
+        rs = build(name)
+        assert all(type(x) is int for b in rs.positive_roots for x in b), name
+        assert set(rs._coroot_of) == set(rs.positive_roots)
+        assert all(type(x) is int for c in rs._coroot_of.values() for x in c), name
+        assert all(type(x) is int for row in star_matrix(rs) for x in row), name
+        assert all(rs.coroot_pairing(b, b) == 2 for b in rs.positive_roots), name
+        assert all(type(x) is Q for row in rs.gram for x in row), name
+
+
+def test_closed_form_orbit_size():
+    for name in ORBIT_GROUPS:
+        rs = build(name)
+        for bits in product((0, 1), repeat=rs.ss_rank):
+            lam = qv(list(bits) + [1] * rs.torus_rank)
+            assert orbit_size(rs, lam) == len(weyl_orbit(rs, lam)), (name, bits)
+    # known orbit sizes, without enumeration: minuscule and regular weights
+    for name, lam, size in (("E6", [1, 0, 0, 0, 0, 0], 27),
+                            ("E7", [0, 0, 0, 0, 0, 0, 1], 56),
+                            ("E8", [0, 0, 0, 0, 0, 0, 0, 1], 240),
+                            ("E8", [1] * 8, 696729600),
+                            ("E6", [1, 1, 0, 1, 1, 1], 25920)):
+        assert orbit_size(build(name), qv(lam)) == size, name
+
+
+def test_oversized_orbit_refused_before_enumeration():
+    e8 = build("E8")
+    assert orbit_size(e8, qv([1] * 8)) > MAX_ENUMERATION
+    with pytest.raises(DomainError, match="696729600 points"):
+        weyl_orbit(e8, qv([-1] * 8))
