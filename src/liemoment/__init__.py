@@ -25,11 +25,9 @@ from .polyhedra import (
     Polyhedron,
     cone_from_rays,
     cone_over,
-    dd_convert,
     empty_polyhedron,
     from_generators,
     from_halfspaces,
-    full_space,
     hull,
     intersect,
     is_proper,

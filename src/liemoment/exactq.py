@@ -85,13 +85,6 @@ def is_zero(a: Vec) -> bool:
     return all(x == 0 for x in a)
 
 
-def mat(rows: Iterable[Iterable]) -> Mat:
-    out = tuple(qv(r) for r in rows)
-    if out and any(len(r) != len(out[0]) for r in out):
-        raise ShapeError("ragged matrix")
-    return out
-
-
 def identity(n: int) -> Mat:
     return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
 

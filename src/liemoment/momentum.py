@@ -40,7 +40,6 @@ from .rootsys import (
     dominant_roots,
     dominantize,
     orbit_size,
-    star,
     star_linear,
     weyl_orbit,
 )
@@ -111,14 +110,14 @@ class BoundedAnswer:
 # chamber and the torus-weight formulas
 
 
+def _walls(rs: RootSystem):
+    """The chamber rows e_i.x >= 0, one per simple coroot (int data)."""
+    return [(tuple(int(i == j) for j in range(rs.rank)), 0) for i in range(rs.ss_rank)]
+
+
 def chamber(rs: RootSystem) -> Polyhedron:
     """The dominant chamber as a polyhedron (torus directions are free)."""
-    ineqs = []
-    for i in range(rs.ss_rank):
-        n = [Q(0)] * rs.rank
-        n[i] = Q(1)
-        ineqs.append((tuple(n), Q(0)))
-    return from_halfspaces(rs.rank, ineqs)
+    return from_halfspaces(rs.rank, _walls(rs))
 
 
 def linear_cone_torus(rs: RootSystem, weights: Sequence[Vec]) -> Polyhedron:
@@ -189,13 +188,29 @@ def _extreme_candidates(rs: RootSystem, pts) -> List[Vec]:
     return sorted(out)
 
 
+def _chamber_hull(rs: RootSystem, weight_sets) -> Polyhedron:
+    """Hull of the chamber pieces chamber & hull(*S), one per weight set S.
+
+    Every vertex is a starred weight or the cut of a starred hull by a
+    chamber wall.  Each piece takes two DD passes: the chamber rows
+    e_i.x >= 0 go straight into the cut, so no chamber is built.
+    """
+    walls = _walls(rs)
+    verts = set()
+    for weights in weight_sets:
+        pts = [star_linear(rs, w) for w in _extreme_candidates(rs, weights)]
+        verts.update(hull_vertices_cut(pts, walls))
+    if not verts:
+        return empty_polyhedron(rs.rank)
+    return hull(sorted(verts))
+
+
 def _upper_bound_for_list(rs: RootSystem, hw_list, system: WeightSystem) -> Polyhedron:
     """Outer bound: chamber cap hull of the starred weights trimmed at each lam."""
     pts = set()
     for lam in set(hw_list):
-        for w in _extreme_candidates(rs, pi_lambda(system, lam)):
-            pts.add(star_linear(rs, w))
-    return intersect(chamber(rs), hull(sorted(pts)))
+        pts.update(pi_lambda(system, lam))
+    return _chamber_hull(rs, [pts])
 
 
 def upper_bound_projective(rs: RootSystem, lam: Vec) -> Polyhedron:
@@ -299,24 +314,8 @@ def _lower_bound_with_strategy(rs: RootSystem, system: WeightSystem):
         cliques = _greedy_cover_cliques(adj, order)
         strategy = "cliques-greedy-cover"
 
-    cham = chamber(rs)
-    verts = set()
-    seen = set()
-    for mask in cliques:
-        if mask in seen:
-            continue
-        seen.add(mask)
-        members = []
-        m = mask
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            members.append(weights[v])
-        pts = [star_linear(rs, w) for w in _extreme_candidates(rs, members)]
-        verts.update(hull_vertices_cut(pts, cham.ineqs))
-    if not verts:
-        return empty_polyhedron(rs.rank), strategy
-    return hull(sorted(verts)), strategy
+    pieces = ([w for i, w in enumerate(weights) if mask >> i & 1] for mask in cliques)
+    return _chamber_hull(rs, pieces), strategy
 
 
 def _single_a_type(rs: RootSystem):
@@ -340,25 +339,20 @@ def momentum_polytope_projective(rs: RootSystem, hw_list: Sequence[Vec]) -> Boun
         if not rs.is_integral(lam):
             raise DomainError("highest weights must be integral")
 
-    cham = chamber(rs)
-
-    def orbit_hull(lams):
-        pts = set()
-        for lam in set(lams):
-            pts.update(weyl_orbit(rs, star(rs, lam)))
-        return intersect(cham, hull(_extreme_candidates(rs, pts)))
-
-    # no unit pairing on any simple coroot: the starred orbit hull is exact
+    # the starred orbit hull is exact with no unit pairing on any simple
+    # coroot, and with at least rank+1 copies of one irreducible (trimming
+    # disappears)
     if all(all(lam[i] != 1 for i in range(rs.ss_rank)) for lam in hws):
         cert = "torus-weights" if rs.ss_rank == 0 else "no-unit-simple-pairings"
-        return BoundedAnswer.certified(orbit_hull(hws), cert)
-
-    single = len(set(hws)) == 1
-    lam0 = hws[0]
-
-    # at least rank+1 copies of one irreducible: trimming disappears
-    if single and len(hws) >= rs.rank + 1:
-        return BoundedAnswer.certified(orbit_hull([lam0]), "replicated-irrep")
+    elif len(set(hws)) == 1 and len(hws) >= rs.rank + 1:
+        cert = "replicated-irrep"
+    else:
+        cert = None
+    if cert is not None:
+        orbits = set()
+        for lam in set(hws):
+            orbits.update(weyl_orbit(rs, lam))
+        return BoundedAnswer.certified(_chamber_hull(rs, [orbits]), cert)
 
     system = union_weights([irrep_weights(rs, lam) for lam in hws])
     upper = _upper_bound_for_list(rs, hws, system)
@@ -367,7 +361,7 @@ def momentum_polytope_projective(rs: RootSystem, hw_list: Sequence[Vec]) -> Boun
         if rs.torus_rank == 0 and rs.rank <= 2:
             return BoundedAnswer.certified(upper, "rank-two-classification")
         # SU(4) with the four classified highest weights
-        if _single_a_type(rs) == 3 and tuple(int(x) for x in lam0) in _SU4_EXACT:
+        if _single_a_type(rs) == 3 and tuple(int(x) for x in hws[0]) in _SU4_EXACT:
             return BoundedAnswer.certified(upper, "su4-special-weights")
 
     lower, strategy = _lower_bound_with_strategy(rs, system)

@@ -411,10 +411,6 @@ def empty_polyhedron(dim: int) -> Polyhedron:
     return _empty(dim)
 
 
-def full_space(dim: int) -> Polyhedron:
-    return from_halfspaces(dim, [])
-
-
 def hull(points: Sequence[Vec]) -> Polyhedron:
     """Convex hull of finitely many points with irredundant vertex list."""
     pts = [tuple(p) for p in points]
@@ -451,13 +447,6 @@ def cone_from_rays(rays: Sequence[Vec], dim: Optional[int] = None) -> Polyhedron
             raise ShapeError("cone_from_rays needs dim when the ray list is empty")
         dim = len(rys[0])
     return from_generators(dim, [vzero(dim)], rys)
-
-
-def dd_convert(p: Polyhedron) -> Polyhedron:
-    """Recompute the canonical dual description from the generator form."""
-    if p.empty:
-        return _empty(p.dim)
-    return from_generators(p.dim, p.points, p.rays, p.lines)
 
 
 def intersect(a: Polyhedron, b: Polyhedron) -> Polyhedron:

@@ -40,18 +40,11 @@ class WeightSystem:
     def dominant_entries(self) -> Dict[Vec, int]:
         return dict(self._dominant)
 
-    def weights(self) -> Tuple[Vec, ...]:
-        return tuple(sorted(self.entries))
-
     def mult(self, nu: Vec) -> int:
-        dom, _ = dominantize(self.rs, nu)
-        return self._dominant.get(dom, 0)
+        return self.entries.get(tuple(nu), 0)
 
     def dim(self) -> int:
-        total = 0
-        for mu, m in self._dominant.items():
-            total += m * len(weyl_orbit(self.rs, mu))
-        return total
+        return sum(self.entries.values())
 
     def to_json(self):
         return [

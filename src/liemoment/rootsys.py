@@ -13,7 +13,8 @@ invariant inner product hold ``Fraction`` values.  Weyl orbits come from
 a walk down from the dominant representative, on ``int`` tuples scaled
 by the common denominator; an orbit or module larger than
 ``MAX_ENUMERATION`` points is refused with a ``DomainError`` before it is
-enumerated.
+enumerated, and so is a group of total rank above ``MAX_RANK`` before
+its root system is built.
 
 Simple-reflection indices are 0-based throughout.
 """
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
-from math import factorial, lcm
+from math import lcm
 from operator import mul
 from typing import Dict, List, Tuple
 
@@ -34,7 +35,6 @@ from .exactq import (
     identity,
     inverse,
     matvec,
-    q,
     qv,
     transpose,
     vneg,
@@ -48,7 +48,15 @@ from .exactq import (
 # generic E8 orbit has 696,729,600 points and would exhaust memory.
 MAX_ENUMERATION = 10 ** 6
 
-_FACTOR_RE = re.compile(r"^([ABCDEFGT])(\d+)$")
+# Largest total rank (semisimple plus torus) of a group.  At rank 12 the
+# slowest types, B12 and C12, build with their star matrix in 0.09 s
+# (E8: 0.04 s); B16 takes 0.25 s, D20 0.53 s and A30 over 1 s, growing
+# with the number of roots.  E8, rank 8, is the largest group in use.
+MAX_RANK = 12
+
+# A rank has at most nine digits: a longer one is over MAX_RANK anyway,
+# and int() refuses a string of thousands of digits with a ValueError.
+_FACTOR_RE = re.compile(r"^([ABCDEFGT])(\d{1,9})$")
 
 _RANK_BOUNDS = {
     "A": (1, None),
@@ -114,20 +122,6 @@ def _cartan_and_lengths(letter: str, n: int):
     raise DomainError("unknown Cartan type %r" % letter)
 
 
-def _weyl_order(letter: str, n: int) -> int:
-    if letter == "A":
-        return factorial(n + 1)
-    if letter in ("B", "C"):
-        return 2 ** n * factorial(n)
-    if letter == "D":
-        return 2 ** (n - 1) * factorial(n)
-    if letter == "E":
-        return {6: 51840, 7: 2903040, 8: 696729600}[n]
-    if letter == "F":
-        return 1152
-    return 12  # G2
-
-
 class GroupSpec:
     """Product of simple factors plus a central torus, e.g. "A2xB3xT1"."""
 
@@ -141,6 +135,9 @@ class GroupSpec:
                 raise DomainError("rank %d out of range for type %s" % (n, letter))
         if torus_rank < 0:
             raise DomainError("negative torus rank")
+        rank = sum(n for _, n in factors) + torus_rank
+        if rank > MAX_RANK:
+            raise DomainError("group rank %d exceeds the limit of %d" % (rank, MAX_RANK))
         self.factors = factors
         self.torus_rank = int(torus_rank)
 
@@ -194,28 +191,30 @@ def _integral(v) -> Tuple[int, ...]:
 
 
 def _factor_roots(cartan_rows):
-    """All roots of one simple factor by reflection closure, split by sign.
+    """Positive roots of one simple factor with their simple-root coefficients.
 
-    Returns (root, simple-root coefficients) pairs of int tuples."""
+    Returns sorted (root, coefficients) pairs of int tuples.  A positive
+    root gamma that is not simple has gamma[i] > 0 for some i, and
+    beta = s_i(gamma) is a lower positive root with beta[i] < 0; so the
+    walk up from the simple roots, applying s_i where coordinate i is
+    negative, reaches every positive root.  s_i subtracts beta[i] from
+    coefficient i.
+    """
     n = len(cartan_rows)
     simple = [tuple(row) for row in cartan_rows]
-    seen = set(simple)
-    queue = list(simple)
+    found = {alpha: tuple(int(i == j) for j in range(n)) for i, alpha in enumerate(simple)}
+    queue = list(found)
     while queue:
         beta = queue.pop()
         for i in range(n):
-            ref = tuple(b - beta[i] * a for b, a in zip(beta, simple[i]))
-            if ref not in seen:
-                seen.add(ref)
-                queue.append(ref)
-    cinv_t = transpose(inverse(tuple(qv(row) for row in simple)))
-    positive = []
-    for beta in seen:
-        coeffs = matvec(cinv_t, beta)
-        if all(c >= 0 for c in coeffs):
-            positive.append((beta, _integral(coeffs)))
-    positive.sort()
-    return positive
+            c = beta[i]
+            if c < 0:
+                ref = tuple(b - c * a for b, a in zip(beta, simple[i]))
+                if ref not in found:
+                    coeffs = found[beta]
+                    found[ref] = coeffs[:i] + (coeffs[i] - c,) + coeffs[i + 1:]
+                    queue.append(ref)
+    return sorted(found.items())
 
 
 class RootSystem:
@@ -228,67 +227,46 @@ class RootSystem:
         self.torus_rank = spec.torus_rank
 
         cartan_rows: List[List[int]] = []
-        lengths: List[Q] = []
-        factor_of_index: List[int] = []
-        offsets = []
-        off = 0
-        for fi, (letter, n) in enumerate(spec.factors):
-            rows, ds = _cartan_and_lengths(letter, n)
-            offsets.append(off)
-            for r in rows:
-                cartan_rows.append([0] * off + list(r) + [0] * (self.ss_rank - off - n))
-            lengths.extend(ds)
-            factor_of_index.extend([fi] * n)
-            off += n
-        self._offsets = offsets
-        self._lengths = tuple(lengths)
-        self._factor_of_index = tuple(factor_of_index)
-        self.cartan = tuple(qv(r) for r in cartan_rows)
-
-        pad = (Q(0),) * spec.torus_rank
-        self.simple_roots = tuple(row + pad for row in self.cartan)
-
         positive = []
         pairing: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         supports = []
-        for fi, (letter, n) in enumerate(spec.factors):
+        # Weyl-invariant inner product in weight coordinates:
+        # Gram = C^{-1} D on each semisimple block, identity on the torus.
+        gram = [[Q(0)] * self.rank for _ in range(self.rank)]
+        o = 0
+        for letter, n in spec.factors:
             rows, ds = _cartan_and_lengths(letter, n)
-            o = offsets[fi]
+            for r in rows:
+                cartan_rows.append([0] * o + list(r) + [0] * (self.ss_rank - o - n))
             tail = (0,) * (self.rank - o - n)
             for beta, coeffs in _factor_roots(rows):
                 full = (0,) * o + beta + tail
                 # (lambda, coroot of beta) as a linear functional on weights:
-                # coroot = sum_i c_i (d_i / d_beta) alpha_i-check.
-                d_beta = Q(sum(
-                    coeffs[i] * coeffs[j] * rows[i][j] * ds[j]
-                    for i in range(n)
-                    for j in range(n)
-                ), 2)
+                # coroot = sum_i c_i (d_i / d_beta) alpha_i-check, where
+                # d_beta = (beta, beta) / 2 = sum_i c_i beta_i d_i / 2.
+                d_beta = sum(c * b * d for c, b, d in zip(coeffs, beta, ds)) / 2
                 check = _integral([coeffs[i] * ds[i] / d_beta for i in range(n)])
                 positive.append(full)
                 pairing[full] = (0,) * o + check + tail
                 supports.append((frozenset(o + i for i in range(n) if coeffs[i]),
                                  sum(coeffs)))
+            cinv = inverse(tuple(qv(r) for r in rows))
+            for i in range(n):
+                for j in range(n):
+                    gram[o + i][o + j] = cinv[i][j] * ds[j]
+            o += n
+        for i in range(self.ss_rank, self.rank):
+            gram[i][i] = Q(1)
+
+        self.cartan = tuple(qv(r) for r in cartan_rows)
+        pad = (Q(0),) * spec.torus_rank
+        self.simple_roots = tuple(row + pad for row in self.cartan)
         positive.sort()
         self.positive_roots = tuple(positive)
         self._coroot_of = pairing
         # (support, height) of each positive root in the simple-root basis
         self._root_supports = tuple(supports)
-
-        # Weyl-invariant inner product in weight coordinates:
-        # Gram = C^{-1} D on the semisimple block, identity on the torus.
-        gram = [[Q(0)] * self.rank for _ in range(self.rank)]
-        for fi, (letter, n) in enumerate(spec.factors):
-            rows, ds = _cartan_and_lengths(letter, n)
-            cinv = inverse(tuple(qv(r) for r in rows))
-            o = offsets[fi]
-            for i in range(n):
-                for j in range(n):
-                    gram[o + i][o + j] = cinv[i][j] * ds[j]
-        for i in range(self.ss_rank, self.rank):
-            gram[i][i] = Q(1)
         self.gram = tuple(tuple(r) for r in gram)
-        self._star_matrix = None
 
     # -- basic predicates -------------------------------------------------
 
@@ -320,10 +298,13 @@ class RootSystem:
         return dot(check, lam)
 
     def weyl_order(self) -> int:
-        n = 1
-        for letter, r in self.spec.factors:
-            n *= _weyl_order(letter, r)
-        return n
+        return _parabolic_order(self, range(self.ss_rank))
+
+    @cached_property
+    def star_matrix(self) -> Tuple[Tuple[int, ...], ...]:
+        """Matrix of the linear involution -w0 in weight coordinates (int rows)."""
+        cols = [_integral(star(self, basis)) for basis in identity(self.rank)]
+        return transpose(tuple(cols))
 
     @cached_property
     def factor_systems(self) -> Tuple["RootSystem", ...]:
@@ -351,24 +332,29 @@ def reflect(rs: RootSystem, i: int, lam: Vec) -> Vec:
     return vsub(lam, vscale(rs.simple_roots[i], lam[i]))
 
 
-def orbit_size(rs: RootSystem, lam: Vec) -> int:
-    """Number of points in the Weyl orbit of a dominant weight, in closed form.
+def _parabolic_order(rs: RootSystem, indices) -> int:
+    """Order of the parabolic subgroup W_I on the simple indices I.
 
-    The stabilizer of a dominant lam is the parabolic subgroup W_lam on its
-    zero coordinates.  Its order is the product of the degrees m + 1 over
-    its exponents m, which Kostant's theorem reads off the positive roots
-    supported there: the number of exponents >= j is the number of those
-    roots of height j.
+    It is the product of the degrees m + 1 over its exponents m, which
+    Kostant's theorem reads off the positive roots supported on I: the
+    number of exponents >= j is the number of those roots of height j.
     """
-    zero = {i for i in range(rs.ss_rank) if lam[i] == 0}
+    indices = set(indices)
     per_height: Dict[int, int] = {}
     for support, height in rs._root_supports:
-        if support <= zero:
+        if support <= indices:
             per_height[height] = per_height.get(height, 0) + 1
-    stabilizer = 1
+    order = 1
     for j in range(1, per_height.get(1, 0) + 1):
-        stabilizer *= 1 + sum(1 for count in per_height.values() if count >= j)
-    return rs.weyl_order() // stabilizer
+        order *= 1 + sum(1 for count in per_height.values() if count >= j)
+    return order
+
+
+def orbit_size(rs: RootSystem, lam: Vec) -> int:
+    """Number of points in the Weyl orbit of a dominant weight, in closed form:
+    |W| / |W_lam|, where the stabilizer W_lam is the parabolic subgroup on
+    the zero coordinates of lam."""
+    return rs.weyl_order() // _parabolic_order(rs, (i for i in range(rs.ss_rank) if lam[i] == 0))
 
 
 def weyl_orbit(rs: RootSystem, lam: Vec) -> Tuple[Vec, ...]:
@@ -428,20 +414,12 @@ def star(rs: RootSystem, lam: Vec) -> Vec:
     return dominantize(rs, vneg(lam))[0]
 
 
-def star_matrix(rs: RootSystem):
-    """Matrix of the linear involution -w0 in weight coordinates (int rows)."""
-    if rs._star_matrix is None:
-        cols = [_integral(star(rs, basis)) for basis in identity(rs.rank)]
-        rs._star_matrix = transpose(tuple(cols))
-    return rs._star_matrix
-
-
 def star_linear(rs: RootSystem, v: Vec) -> Vec:
     """-w0 applied to an arbitrary (not necessarily dominant) vector.
 
     Int in, int out: the matrix is integral."""
     rs.check_dim(v)
-    return tuple(sum(map(mul, row, v)) for row in star_matrix(rs))
+    return tuple(sum(map(mul, row, v)) for row in rs.star_matrix)
 
 
 def dominant_roots(rs: RootSystem) -> Tuple[Vec, ...]:

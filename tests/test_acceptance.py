@@ -30,10 +30,9 @@ from liemoment.momentum import (
 )
 from liemoment.polyhedra import (
     cone_from_rays,
-    dd_convert,
     empty_polyhedron,
+    from_generators,
     from_halfspaces,
-    full_space,
     hull,
     intersect,
     is_proper,
@@ -154,7 +153,7 @@ def test_criterion_6_torus_parallelepipeds():
             infinity = hull(corners)
             closure = projective_closure_polytope(tk, infinity)
             assert closure == infinity
-            assert recover_cone(closure) == full_space(k)
+            assert recover_cone(closure) == from_halfspaces(k, [])
 
 
 def test_criterion_7_cotangent_formulas():
@@ -184,14 +183,16 @@ def _suite_dd_round_trip():
         hull([qv([1, 2])]),
         cone_from_rays([qv([1, 0]), qv([-1, 0])]),
         from_halfspaces(2, [(qv([1, 0]), Q(-1)), (qv([-1, 0]), Q(-1))]),
-        full_space(3),
+        from_halfspaces(3, []),
         empty_polyhedron(2),
         chamber(build("A3")),
         hull([qv([0, 0, 0]), qv([2, 0, 0]), qv([0, 2, 0]), qv([0, 0, 2]),
               qv([1, 1, 1])]),
     ]
     for p in polys:
-        assert dd_convert(dd_convert(p)) == p
+        assert from_generators(p.dim, p.points, p.rays, p.lines) == p
+        if not p.empty:
+            assert from_halfspaces(p.dim, p.ineqs, p.eqs) == p
 
 
 def _suite_lp_membership():

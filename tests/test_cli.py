@@ -140,6 +140,8 @@ def test_exit_codes():
                                 "weights": 5}}).returncode == 2
     assert run_cli({"command": "closure", "group": "A2",
                     "payload": {"infinity_polytope": {"points": 5}}}).returncode == 2
+    # a rank of thousands of digits
+    assert run_cli({"command": "roots", "group": "A" + "9" * 5000}).returncode == 2
     # nonzero exit emits no response document
     res = run_cli({"command": "roots", "group": "Q7"})
     assert res.stdout == b""
@@ -160,6 +162,15 @@ def test_oversized_inputs_refused_fast():
         assert time.perf_counter() - start < 1.0, req
         assert res.returncode == 3, (req, res.stderr)
         assert b"exceeds the limit" in res.stderr
+
+
+def test_oversized_groups_refused_fast():
+    for group in ("A1000", "A80", "T100000000"):
+        start = time.perf_counter()
+        res = run_cli({"command": "roots", "group": group})
+        assert time.perf_counter() - start < 1.0, group
+        assert res.returncode == 2, (group, res.stderr)
+        assert res.stdout == b"" and b"exceeds the limit" in res.stderr
 
 
 def test_render_unsupported_rank():

@@ -2,7 +2,7 @@
 
 import random
 
-from liemoment.exactq import Q, mat, qv, rank, vsub
+from liemoment.exactq import Q, qv, rank, vsub
 from liemoment.polyhedra import (
     cone_from_rays,
     from_halfspaces,
@@ -44,8 +44,8 @@ def both_forms_consistent(p):
         spanning += list(p.lines)
         own = [vsub(pt, p.points[0]) for pt in p.points[1:]]
         own += list(p.rays) + list(p.lines)
-        dim_p = rank(mat(own)) if own else 0
-        dim_face = rank(mat(spanning)) if spanning else 0
+        dim_p = rank(tuple(qv(r) for r in own)) if own else 0
+        dim_face = rank(tuple(qv(r) for r in spanning)) if spanning else 0
         assert dim_face == dim_p - 1, "halfspace is not a facet"
     for n, b in p.eqs:
         for pt in p.points:

@@ -28,7 +28,6 @@ from liemoment.momentum import (
 from liemoment.polyhedra import (
     cone_from_rays,
     from_halfspaces,
-    full_space,
     hull,
     intersect,
     is_proper,
@@ -461,3 +460,44 @@ def test_assemble_rejects_mixed_groups():
     b = LocalConeSpec(T2, qv([0, 0]), [qv([1, 0])], CASE_FULL_TORUS)
     with pytest.raises(Exception):
         assemble_polytope([a, b])
+
+
+def test_projective_builds_no_chamber_and_two_dd_passes_per_piece(monkeypatch):
+    """Every bound is the hull of chamber pieces cut straight by the chamber
+    rows: no chamber polyhedron, no intersect, two DD passes per piece plus
+    two for the final hull."""
+    from liemoment import momentum, polyhedra
+
+    def refuse(*args):
+        raise AssertionError("the projective path built a chamber or intersected")
+
+    monkeypatch.setattr(momentum, "chamber", refuse)
+    monkeypatch.setattr(momentum, "intersect", refuse)
+    monkeypatch.setattr(polyhedra, "intersect", refuse)
+    calls = []
+    real = polyhedra._dd_cone
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(polyhedra, "_dd_cone", counting)
+    # (group, highest weights, certificate, _dd_cone calls: exact or at most)
+    cases = [
+        ("A2", [(2, 2)], "no-unit-simple-pairings", 4),
+        ("A2", [(2, 1)], "rank-two-classification", 4),
+        ("A3", [(1, 0, 0)], "su4-special-weights", 4),
+        ("A3", [(1, 0, 0)] * 4, "replicated-irrep", 4),
+        ("T2", [(1, 0), (0, 1), (-1, -1)], "torus-weights", 4),
+        ("B3", [(1, 1, 1)], "sandwich-coincide(cliques-greedy-cover)", 10),
+        ("C3", [(1, 0, 2)], "bounds(lower=cliques-greedy-cover,upper=orbit-trim)", 24),
+        ("C3", [(2, 1, 2)], "sandwich-coincide(cliques-greedy-cover)", 86),
+    ]
+    for group, hws, certificate, dd_calls in cases:
+        del calls[:]
+        ans = momentum_polytope_projective(build(group), [qv(h) for h in hws])
+        assert ans.certificate == certificate, (group, hws)
+        if ans.certificate.startswith(("sandwich", "bounds")):
+            assert len(calls) <= dd_calls, (group, hws, len(calls))
+        else:
+            assert len(calls) == dd_calls, (group, hws, len(calls))

@@ -8,12 +8,10 @@ from liemoment import polyhedra
 from liemoment.polyhedra import (
     cone_from_rays,
     cone_over,
-    dd_convert,
     empty_polyhedron,
     from_generators,
     from_halfspaces,
     from_json,
-    full_space,
     hull,
     hull_vertices_cut,
     intersect,
@@ -106,12 +104,14 @@ def test_dd_round_trip():
         cone_from_rays([qv([1, 0]), qv([1, 2])]),
         hull([qv([1, 2])]),
         from_halfspaces(2, [(qv([1, 0]), Q(0))]),
-        full_space(3),
+        from_halfspaces(3, []),
         empty_polyhedron(2),
         hull([qv([0, 0, 0]), qv([1, 0, 0]), qv([0, 1, 0]), qv([0, 0, 1])]),
     ]
     for p in polys:
-        assert dd_convert(dd_convert(p)) == p
+        assert from_generators(p.dim, p.points, p.rays, p.lines) == p
+        if not p.empty:
+            assert from_halfspaces(p.dim, p.ineqs, p.eqs) == p
 
 
 def test_dd_convert_examples():
@@ -134,7 +134,7 @@ def test_intersect():
     assert sector.rays == (qv([0, 1]), qv([1, 1]))
     assert intersect(hull([qv([0, 0])]), hull([qv([2, 2])])).empty
     with pytest.raises(ShapeError):
-        intersect(square(), full_space(3))
+        intersect(square(), from_halfspaces(3, []))
 
 
 def test_intersect_commutative_associative():

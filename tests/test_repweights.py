@@ -17,21 +17,21 @@ def test_adjoint_a2():
     assert ws.dim() == 8
     assert ws.mult(qv([0, 0])) == 2
     roots = set(A2.positive_roots) | {tuple(-x for x in r) for r in A2.positive_roots}
-    assert set(ws.weights()) == roots | {qv([0, 0])}
+    assert set(ws.entries) == roots | {qv([0, 0])}
     for r in roots:
         assert ws.mult(r) == 1
 
 
 def test_standard_rep_a2():
     ws = irrep_weights(A2, qv([1, 0]))
-    assert set(ws.weights()) == {qv([1, 0]), qv([-1, 1]), qv([0, -1])}
+    assert set(ws.entries) == {qv([1, 0]), qv([-1, 1]), qv([0, -1])}
     assert ws.dim() == 3
     assert set(ws.entries.values()) == {1}
 
 
 def test_trivial_rep():
     ws = irrep_weights(A2, qv([0, 0]))
-    assert ws.weights() == (qv([0, 0]),)
+    assert tuple(sorted(ws.entries)) == (qv([0, 0]),)
     assert ws.dim() == 1
 
 
@@ -61,16 +61,16 @@ def test_oversized_irrep_refused_before_enumeration():
 def test_pi_lambda_a2_21():
     ws = irrep_weights(A2, qv([2, 1]))
     pi = pi_lambda(ws, qv([2, 1]))
-    assert len(ws.weights()) == 12
+    assert len(ws.entries) == 12
     assert len(pi) == 11
     assert qv([3, -1]) not in pi
     assert qv([2, 1]) in pi
-    assert set(pi) < set(ws.weights())
+    assert set(pi) < set(ws.entries)
 
 
 def test_pi_lambda_no_trim():
     ws = irrep_weights(A2, qv([2, 2]))
-    assert pi_lambda(ws, qv([2, 2])) == ws.weights()
+    assert pi_lambda(ws, qv([2, 2])) == tuple(sorted(ws.entries))
 
 
 def test_pi_lambda_minuscule():
@@ -129,7 +129,7 @@ def test_product_group_weights():
     assert ws.mult(qv([1, 2])) == 1
     rs2 = build("A2xT1")
     ws2 = irrep_weights(rs2, qv([1, 0, 5]))
-    assert all(w[2] == 5 for w in ws2.weights())
+    assert all(w[2] == 5 for w in ws2.entries)
 
 
 def test_json_serialization_sorted():
@@ -158,3 +158,27 @@ def test_adjoint_zero_weight_multiplicity_is_rank():
         ws = irrep_weights(rs, qv(adjoint))
         assert ws.mult(qv([0] * rs.rank)) == rs.rank
         assert ws.dim() == dim(rs, qv(adjoint))
+
+
+def test_irrep_request_walks_each_orbit_once(monkeypatch):
+    """dim, mult, the trimmed set and the weight list all read the one
+    expanded weight map."""
+    from liemoment import repweights, rootsys
+    from test_golden import answer
+
+    calls = []
+    real = rootsys.weyl_orbit
+
+    def counting(rs, lam):
+        calls.append(lam)
+        return real(rs, lam)
+
+    monkeypatch.setattr(rootsys, "weyl_orbit", counting)
+    monkeypatch.setattr(repweights, "weyl_orbit", counting)
+    for group, hw in (("E6", [0, 1, 0, 0, 0, 1]), ("B4", [1, 1, 1, 1]), ("A2xT1", [2, 1, 3])):
+        del calls[:]
+        out = answer('{"command": "irrep", "group": "%s", "payload": {"hw": %s}}'
+                     % (group, hw))
+        assert out["rc"] == 0
+        dominant = irrep_weights(build(group), qv(hw)).dominant_entries
+        assert sorted(calls) == sorted(dominant), group

@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from math import factorial
 
 import pytest
 
@@ -7,6 +8,7 @@ from liemoment.errors import DomainError
 from liemoment.exactq import Q, qv, vneg
 from liemoment.rootsys import (
     MAX_ENUMERATION,
+    MAX_RANK,
     GroupSpec,
     build,
     dominant_roots,
@@ -15,7 +17,6 @@ from liemoment.rootsys import (
     reflect,
     star,
     star_linear,
-    star_matrix,
     weyl_orbit,
 )
 
@@ -229,7 +230,7 @@ def test_root_data_holds_ints():
         assert all(type(x) is int for b in rs.positive_roots for x in b), name
         assert set(rs._coroot_of) == set(rs.positive_roots)
         assert all(type(x) is int for c in rs._coroot_of.values() for x in c), name
-        assert all(type(x) is int for row in star_matrix(rs) for x in row), name
+        assert all(type(x) is int for row in rs.star_matrix for x in row), name
         assert all(rs.coroot_pairing(b, b) == 2 for b in rs.positive_roots), name
         assert all(type(x) is Q for row in rs.gram for x in row), name
 
@@ -254,3 +255,29 @@ def test_oversized_orbit_refused_before_enumeration():
     assert orbit_size(e8, qv([1] * 8)) > MAX_ENUMERATION
     with pytest.raises(DomainError, match="696729600 points"):
         weyl_orbit(e8, qv([-1] * 8))
+
+
+def test_weyl_order_matches_standard_orders():
+    """|W| from Kostant's degree product, for every type up to MAX_RANK."""
+    for n in range(1, MAX_RANK + 1):
+        assert build("A%d" % n).weyl_order() == factorial(n + 1), n
+        if n >= 2:
+            assert build("B%d" % n).weyl_order() == 2 ** n * factorial(n), n
+            assert build("C%d" % n).weyl_order() == 2 ** n * factorial(n), n
+        if n >= 3:
+            assert build("D%d" % n).weyl_order() == 2 ** (n - 1) * factorial(n), n
+    for name, order in (("E6", 51840), ("E7", 2903040), ("E8", 696729600),
+                        ("F4", 1152), ("G2", 12), ("T3", 1), ("A2xB2xT1", 48)):
+        assert build(name).weyl_order() == order, name
+
+
+def test_group_rank_limit():
+    assert build("E8").rank == 8 <= MAX_RANK
+    build("B%d" % MAX_RANK)
+    build("A%dxT1" % (MAX_RANK - 1))
+    for text in ("A%d" % (MAX_RANK + 1), "A%dxT1" % MAX_RANK, "T100000000",
+                 "A1000", "A" + "9" * 5000):
+        with pytest.raises(DomainError):
+            GroupSpec.parse(text)
+    with pytest.raises(DomainError):
+        GroupSpec([("B", MAX_RANK)], torus_rank=1)
