@@ -69,6 +69,12 @@ REQUESTS = [
     ("projective-B3-001", _proj("B3", (0, 0, 1))),
     ("projective-A3-101", _proj("A3", (1, 0, 1))),
     ("projective-T2", _proj("T2", (1, 2))),
+    # the greedy clique cover and its many chamber pieces
+    ("projective-C3-212", _proj("C3", (2, 1, 2))),
+    ("projective-C3-102", _proj("C3", (1, 0, 2))),
+    ("projective-B3-021", _proj("B3", (0, 2, 1))),
+    ("projective-A4-1111", _proj("A4", (1, 1, 1, 1))),
+    ("projective-B4-1111", _proj("B4", (1, 1, 1, 1))),
     ("linear-cone-T3", _req("linear-cone", "T3", {
         "weights": [[1, 1, 0], [-1, -1, 0], [0, 1, 1], [0, -1, -1], [1, 0, 0]]})),
     ("linear-cone-A2-star", _req("linear-cone", "A2", {
