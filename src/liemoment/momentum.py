@@ -13,11 +13,11 @@ no known result applies).
 
 from __future__ import annotations
 
-from operator import add
+from operator import add, sub
 from typing import List, Optional, Sequence
 
 from .errors import DomainError, ShapeError, UnsupportedCaseError
-from .exactq import Q, Vec, dot, matvec, rank as mat_rank, transpose, vadd, vneg, vsub
+from .exactq import Q, Vec, dot, matvec, rank as mat_rank, transpose, vneg
 from .polyhedra import (
     Polyhedron,
     cone_from_rays,
@@ -181,7 +181,7 @@ def _extreme_candidates(rs: RootSystem, pts) -> List[Vec]:
     out = []
     for w in s:
         for alpha in rs.positive_roots:
-            if vadd(w, alpha) in s and vsub(w, alpha) in s:
+            if tuple(map(add, w, alpha)) in s and tuple(map(sub, w, alpha)) in s:
                 break
         else:
             out.append(w)

@@ -81,25 +81,29 @@ def _dd_cone(constraints: Sequence[Vec], dim: int):
     Incremental double description with the combinatorial adjacency test;
     lines are kept explicit so non-pointed cones are exact.  Constraints
     may be rational; every vector inside and out is a primitive int tuple.
+
+    The constraints are inserted in lexicographic order (cddlib's lexmin
+    rule), which keeps the intermediate ray sets small; the output is the
+    same cone whatever the input order.  Each ray carries the bitmask of
+    the inserted constraints it makes tight.  A new ray is a positive
+    combination of a ray on each side of the new constraint, so it is
+    tight exactly where both are: its mask is theirs ANDed, plus the new
+    bit, and no dot product is needed.  Two rays can only be adjacent if
+    they share at least dim - len(lines) - 2 tight constraints (with the
+    lineality space they span a face of dimension len(lines) + 2), so
+    pairs below that count skip the adjacency scan.
     """
     lines: List[Vec] = [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
     rays: List[List] = []  # [vector, active-constraint bitmask]
-    cons: List[Vec] = []
 
     seen = set()
-    todo = []
     for a in constraints:
         if len(a) != dim:
             raise ShapeError("constraint has %d coordinates, expected %d" % (len(a), dim))
-        if is_zero(a):
-            continue
-        p = _primitive(a)
-        if p not in seen:
-            seen.add(p)
-            todo.append(p)
+        if not is_zero(a):
+            seen.add(_primitive(a))
 
-    for a in todo:
-        ci = len(cons)
+    for ci, a in enumerate(sorted(seen)):
         bit = 1 << ci
 
         pidx = None
@@ -123,49 +127,36 @@ def _dd_cone(constraints: Sequence[Vec], dim: int):
             full_mask = bit - 1  # the pivot was a line: orthogonal to all previous
             newrays.append([piv, full_mask])
             rays = _dedupe_rays(newrays)
-            cons.append(a)
             continue
 
         plus, zero, minus = [], [], []
         for entry in rays:
             s = _idot(a, entry[0])
             if s > 0:
-                plus.append(entry)
+                plus.append((entry[0], entry[1], s))
             elif s == 0:
                 zero.append(entry)
             else:
-                minus.append(entry)
+                minus.append((entry[0], entry[1], s))
         if not minus:
             for entry in zero:
                 entry[1] |= bit
-            cons.append(a)
             continue
-        newrays = [[v, m] for v, m in plus] + [[v, m | bit] for v, m in zero]
-        if plus:
-            current = rays
-            for pv, pm in plus:
-                dp = _idot(a, pv)
-                for mv, mm in minus:
-                    common = pm & mm
-                    adjacent = True
-                    for ov, om in current:
-                        if ov is pv or ov is mv:
-                            continue
-                        if common & ~om == 0:
-                            adjacent = False
-                            break
-                    if not adjacent:
-                        continue
-                    w = _combine(dp, mv, _idot(a, mv), pv)
-                    if is_zero(w):
-                        continue
-                    mask = bit
-                    for j, c in enumerate(cons):
-                        if _idot(c, w) == 0:
-                            mask |= 1 << j
-                    newrays.append([w, mask])
+        newrays = [[v, m] for v, m, _ in plus] + [[v, m | bit] for v, m in zero]
+        need = dim - len(lines) - 2
+        for pv, pm, dp in plus:
+            for mv, mm, dm in minus:
+                common = pm & mm
+                if common.bit_count() < need:
+                    continue
+                for ov, om in rays:
+                    if common & ~om == 0 and ov is not pv and ov is not mv:
+                        break  # a third ray on their common face: not adjacent
+                else:
+                    w = _combine(dp, mv, dm, pv)
+                    if not is_zero(w):
+                        newrays.append([w, common | bit])
         rays = _dedupe_rays(newrays)
-        cons.append(a)
 
     return [v for v, _ in rays], lines
 

@@ -288,3 +288,73 @@ def test_hull_vertices_cut_matches_intersect(monkeypatch):
             assert in_hull(pts, v)
             assert all(sum(a * x for a, x in zip(n, v)) >= b for n, b in cuts)
     assert nonempty > 75
+
+
+def test_combine_calls_bounded_on_greedy_cover(monkeypatch):
+    """Lexicographic insertion keeps the DD kernel's new-ray count down.
+
+    Inserting the constraints in input order made 14,285 combinations for
+    projective C3 (2,1,2); the lexmin order makes 7,182.
+    """
+    from liemoment.momentum import momentum_polytope_projective
+
+    calls = [0]
+    real = polyhedra._combine
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(polyhedra, "_combine", counting)
+    momentum_polytope_projective(build("C3"), [qv([2, 1, 2])])
+    assert calls[0] <= 7500
+
+
+def _cone_key(rays, lines):
+    """Rays reduced modulo the canonical line basis, with that basis."""
+    basis = polyhedra._canonical_lines([qv(l) for l in lines])
+    reduced = set()
+    for r in rays:
+        v = polyhedra._reduce_mod(qv(r), basis)
+        if any(v):
+            reduced.add(polyhedra._primitive(v))
+    return reduced, basis
+
+
+def test_dd_cone_independent_of_constraint_order():
+    """A shuffled constraint list gives the same rays and line span,
+    and the cone they generate is {x : a.x >= 0} by the LP oracle."""
+    from oracles import lp_feasible
+
+    rng = random.Random(8)
+    with_lines = pointed = 0
+    for _ in range(200):
+        dim = rng.randint(2, 5)
+        cons = [tuple(rng.randint(-2, 2) for _ in range(dim))
+                for _ in range(rng.randint(1, dim + 4))]
+        for a in list(cons):
+            roll = rng.random()
+            if roll < 0.15:
+                cons.append(a)  # a duplicate
+            elif roll < 0.3:
+                cons.append(tuple(Q(2 * x, 3) for x in a))  # a rational multiple
+            elif roll < 0.45:
+                cons.append(tuple(-x for x in a))  # an equality
+        rays, lines = polyhedra._dd_cone(cons, dim)
+        key = _cone_key(rays, lines)
+        for _ in range(3):
+            shuffled = cons[:]
+            rng.shuffle(shuffled)
+            assert _cone_key(*polyhedra._dd_cone(shuffled, dim)) == key
+        with_lines += bool(lines)
+        pointed += not lines and bool(rays)
+        gens = list(rays) + list(lines) + [tuple(-x for x in l) for l in lines]
+        for _ in range(4):
+            x = [rng.randint(-3, 3) for _ in range(dim)]
+            inside = all(sum(a_i * x_i for a_i, x_i in zip(a, x)) >= 0 for a in cons)
+            if gens:
+                rows = [[g[i] for g in gens] for i in range(dim)]
+                assert lp_feasible(rows, x) == inside
+            else:
+                assert inside == (not any(x))
+    assert with_lines > 40 and pointed > 40
