@@ -273,7 +273,8 @@ def main(argv=None) -> int:
                               parse_constant=_reject_float)
     except OSError as exc:
         return fail(2, "io", exc)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
+        # json.loads recurses once per nesting level
         return fail(2, "parse", exc)
 
     try:
@@ -286,22 +287,21 @@ def main(argv=None) -> int:
         return fail(3, "domain", exc)
 
     if kind == "svg":
-        if args.svgfile:
-            with open(args.svgfile, "w", encoding="utf-8") as fh:
-                fh.write(doc)
+        text, path = doc, args.svgfile
+    else:
+        if args.pretty:
+            text = json.dumps(doc, sort_keys=True, indent=2)
         else:
-            sys.stdout.write(doc)
+            text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        text, path = text + "\n", args.outfile
+    if not path:
+        sys.stdout.write(text)
         return 0
-
-    if args.pretty:
-        text = json.dumps(doc, sort_keys=True, indent=2)
-    else:
-        text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    if args.outfile:
-        with open(args.outfile, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        return fail(2, "io", exc)
     return 0
 
 

@@ -142,6 +142,11 @@ def test_exit_codes():
                     "payload": {"infinity_polytope": {"points": 5}}}).returncode == 2
     # a rank of thousands of digits
     assert run_cli({"command": "roots", "group": "A" + "9" * 5000}).returncode == 2
+    # nesting deeper than the JSON decoder's recursion
+    for deep in ("[" * 100000 + "]" * 100000, '{"a":' * 50000 + "1" + "}" * 50000):
+        res = run_cli(deep)
+        assert res.returncode == 2
+        assert json.loads(res.stderr)["error"]["kind"] == "parse"
     # nonzero exit emits no response document
     res = run_cli({"command": "roots", "group": "Q7"})
     assert res.stdout == b""
@@ -240,6 +245,15 @@ def test_in_out_files(tmp_path):
     assert res.returncode == 0
     doc = json.loads(outp.read_text())
     assert len(doc["positive_roots"]) == 6
+    # an unwritable --out or --svg path is an io error, not a traceback
+    missing = tmp_path / "missing" / "resp"
+    render = {"command": "render", "group": "A2",
+              "payload": {"result": {"polyhedron": {"dim": 2, "points": [[0, 0]]}}}}
+    for req, flag in (({"command": "roots", "group": "G2"}, "--out"), (render, "--svg")):
+        res = run_cli(req, flag, str(missing))
+        assert res.returncode == 2
+        assert res.stdout == b""
+        assert json.loads(res.stderr)["error"]["kind"] == "io"
 
 
 def test_render_other_rank2_types():
