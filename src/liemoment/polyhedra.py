@@ -92,6 +92,10 @@ def _dd_cone(constraints: Sequence[Vec], dim: int):
     they share at least dim - len(lines) - 2 tight constraints (with the
     lineality space they span a face of dimension len(lines) + 2), so
     pairs below that count skip the adjacency scan.
+
+    The lines always span {x : a.x = 0 for every inserted a}, so no ray
+    lies in their span and no two rays differ by a line: a plus and a
+    minus ray are never opposite, and no combination repeats a ray.
     """
     lines: List[Vec] = [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
     rays: List[List] = []  # [vector, active-constraint bitmask]
@@ -126,7 +130,7 @@ def _dd_cone(constraints: Sequence[Vec], dim: int):
                 newrays.append([vec, mask | bit])
             full_mask = bit - 1  # the pivot was a line: orthogonal to all previous
             newrays.append([piv, full_mask])
-            rays = _dedupe_rays(newrays)
+            rays = newrays
             continue
 
         plus, zero, minus = [], [], []
@@ -153,10 +157,8 @@ def _dd_cone(constraints: Sequence[Vec], dim: int):
                     if common & ~om == 0 and ov is not pv and ov is not mv:
                         break  # a third ray on their common face: not adjacent
                 else:
-                    w = _combine(dp, mv, dm, pv)
-                    if not is_zero(w):
-                        newrays.append([w, common | bit])
-        rays = _dedupe_rays(newrays)
+                    newrays.append([_combine(dp, mv, dm, pv), common | bit])
+        rays = newrays
 
     return [v for v, _ in rays], lines
 
@@ -164,14 +166,6 @@ def _dd_cone(constraints: Sequence[Vec], dim: int):
 def _combine(c, u, d, v) -> Tuple[int, ...]:
     """Primitive form of the int combination c*u - d*v."""
     return _primitive(tuple(c * x - d * y for x, y in zip(u, v)))
-
-
-def _dedupe_rays(entries):
-    seen = {}
-    for vec, mask in entries:
-        if vec not in seen:
-            seen[vec] = [vec, mask]
-    return list(seen.values())
 
 
 # --------------------------------------------------------------------------
