@@ -21,9 +21,10 @@ from liemoment.polyhedra import (
     slice_subspace,
     to_json,
 )
+from liemoment.momentum import momentum_polytope_projective
 from liemoment.rootsys import build, weyl_orbit
 
-from oracles import in_hull
+from oracles import in_hull, lp_feasible
 
 
 def square(a=0, b=1):
@@ -296,8 +297,6 @@ def test_combine_calls_bounded_on_greedy_cover(monkeypatch):
     Inserting the constraints in input order made 14,285 combinations for
     projective C3 (2,1,2); the lexmin order makes 7,182.
     """
-    from liemoment.momentum import momentum_polytope_projective
-
     calls = [0]
     real = polyhedra._combine
 
@@ -324,8 +323,6 @@ def _cone_key(rays, lines):
 def test_dd_cone_independent_of_constraint_order():
     """A shuffled constraint list gives the same rays and line span,
     and the cone they generate is {x : a.x >= 0} by the LP oracle."""
-    from oracles import lp_feasible
-
     rng = random.Random(8)
     with_lines = pointed = 0
     for _ in range(200):
