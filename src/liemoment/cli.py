@@ -167,11 +167,7 @@ def _cotangent(rs, payload):
 
 
 def _closure(rs, payload):
-    raw = _field(payload, "infinity_polytope")
-    if isinstance(raw, dict) and "points" in raw and "halfspaces" not in raw:
-        poly = P.hull(_vec_list(rs, raw["points"]))
-    else:
-        poly = _polyhedron(rs, raw)
+    poly = _polyhedron(rs, _field(payload, "infinity_polytope"))
     closure = M.projective_closure_polytope(rs, poly)
     return {
         "closure": P.to_json(closure),

@@ -1,11 +1,11 @@
 """Exact rational scalars, vectors, and matrices.
 
 Every quantity that touches weight data is a rational number: scalars are
-``fractions.Fraction`` values, vectors are plain tuples of scalars, and
-matrices are tuples of row tuples.  Nothing in this package ever converts
-weight data to floating point.  (The double-description kernel in
-``polyhedra`` works on primitive ``int`` vectors internally and hands
-back ``Fraction`` values at its edge.)
+``fractions.Fraction`` or, for integral data, ``int`` values (the root
+data and reflection walks of ``rootsys``, the double-description kernel
+of ``polyhedra``); vectors are plain tuples of scalars, and matrices are
+tuples of row tuples.  Nothing in this package ever converts weight
+data to floating point.
 
 Scalars serialize as the strings ``"p/q"`` or ``"p"``.
 """

@@ -470,7 +470,7 @@ def cotangent_homogeneous(rs: RootSystem, wall_generators: Sequence[Vec]) -> Bou
     rays = [
         beta
         for beta in dominant_roots(rs)
-        if any(rs.inner(beta, g) != 0 for g in gens)
+        if any(rs.coroot_pairing(beta, g) != 0 for g in gens)
     ]
     lower = cone_from_rays(rays, rs.rank)
     if lower == cham:

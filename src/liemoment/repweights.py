@@ -10,6 +10,8 @@ expanded on demand.
 from __future__ import annotations
 
 from itertools import product
+from math import prod
+from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import DomainError, ShapeError
@@ -62,45 +64,54 @@ def _require_dominant_integral(rs: RootSystem, lam: Vec):
 
 
 def _factor_dominant_mults(frs: RootSystem, lam: Vec) -> Dict[Vec, int]:
-    """Freudenthal multiplicities on dominant weights of one simple factor."""
-    n = frs.rank
-    if n == 0:
-        return {(): 1}
-    cartan = frs.cartan
-    cinv_t = transpose(inverse(cartan))
-    bounds = [qfloor(b) for b in matvec(cinv_t, lam)]
+    """Freudenthal multiplicities on dominant weights of one simple factor.
 
-    dominant: List[Tuple[int, Vec]] = []
+    Pairings go through roots: (nu, alpha) = d_alpha <nu, alpha coroot>,
+    and for mu = lam - sum_i k_i alpha_i, |lam+rho|^2 - |mu+rho|^2 =
+    sum_i k_i d_i (lam_i + mu_i + 2).  A box of more than MAX_ENUMERATION
+    coefficient tuples is refused."""
+    cinv_t = transpose(inverse(frs.cartan))
+    bounds = [qfloor(b) for b in matvec(cinv_t, lam)]
+    size = prod(b + 1 for b in bounds)
+    if size > MAX_ENUMERATION:
+        raise DomainError("Freudenthal box of %d tuples exceeds the limit of %d"
+                          % (size, MAX_ENUMERATION))
+
+    dominant: List[Tuple[int, Vec, Tuple[int, ...]]] = []
     for ks in product(*(range(b + 1) for b in bounds)):
         mu = lam
         for i, k in enumerate(ks):
             if k:
                 mu = vsub(mu, tuple(x * k for x in frs.simple_roots[i]))
         if all(x >= 0 for x in mu):
-            dominant.append((sum(ks), mu))
+            dominant.append((sum(ks), mu, ks))
     dominant.sort()
 
-    rho = qv([1] * n)
-    lam_rho = vadd(lam, rho)
-    norm_lam = frs.inner(lam_rho, lam_rho)
+    simple_d = [frs._half_length[alpha] for alpha in frs._simple]
+    roots = [(alpha, frs._coroot_of[alpha], frs._half_length[alpha])
+             for alpha in frs.positive_roots]
     mults: Dict[Vec, int] = {}
-    for height, mu in dominant:
+    for height, mu, ks in dominant:
         if height == 0:
             mults[mu] = 1
             continue
+        mu_int = tuple(map(int, mu))
         acc = Q(0)
-        for alpha in frs.positive_roots:
+        for alpha, check, d_alpha in roots:
+            # <mu + k alpha, alpha coroot> = <mu, alpha coroot> + 2k
+            pairing = sum(map(mul, check, mu_int))
+            total = 0
             k = 1
             while True:
-                nu = vadd(mu, tuple(x * k for x in alpha))
+                nu = tuple(x + k * a for x, a in zip(mu_int, alpha))
                 dom, _ = dominantize(frs, nu)
                 m = mults.get(dom)
                 if m is None:
                     break
-                acc += m * frs.inner(nu, alpha)
+                total += m * (pairing + 2 * k)
                 k += 1
-        mu_rho = vadd(mu, rho)
-        den = norm_lam - frs.inner(mu_rho, mu_rho)
+            acc += d_alpha * total
+        den = sum(k * d * (a + b + 2) for k, d, a, b in zip(ks, simple_d, lam, mu))
         val = 2 * acc / den
         if val.denominator != 1 or val <= 0:
             raise ArithmeticError("non-integral multiplicity for %r" % (mu,))

@@ -7,11 +7,13 @@ matrix.  Central-torus coordinates are appended after the semisimple
 ones and are fixed by every reflection.
 
 The root data is integral in these coordinates, and is held as ``int``
-tuples: the positive roots, their coroot functionals and the matrix of
-the involution ``*``.  The Cartan matrix, the simple roots and the
-invariant inner product hold ``Fraction`` values.  Weyl orbits come from
-a walk down from the dominant representative, on ``int`` tuples scaled
-by the common denominator; an orbit or module larger than
+tuples: the positive roots, their coroot functionals, the simple roots
+and the matrix of the involution ``*`` (the public ``cartan`` and
+``simple_roots`` hold ``Fraction`` values).  There is no Gram matrix:
+inner products are taken against roots, (lam, beta) = d_beta <lam, beta
+coroot> with the half square length d_beta = (beta, beta) / 2.
+Reflections, ``dominantize`` and Weyl orbits walk on ``int`` tuples
+scaled by the common denominator; an orbit or module larger than
 ``MAX_ENUMERATION`` points is refused with a ``DomainError`` before it is
 enumerated, and so is a group of total rank above ``MAX_RANK`` before
 its root system is built.
@@ -28,19 +30,7 @@ from operator import mul
 from typing import Dict, List, Tuple
 
 from .errors import DomainError, ShapeError
-from .exactq import (
-    Q,
-    Vec,
-    dot,
-    identity,
-    inverse,
-    matvec,
-    qv,
-    transpose,
-    vneg,
-    vsub,
-    vscale,
-)
+from .exactq import Q, Vec, dot, identity, qv, transpose, vneg
 
 # Largest Weyl orbit (rootsys.weyl_orbit) or module dimension
 # (repweights.irrep_weights) a request may enumerate.  The E6 orbit of
@@ -229,10 +219,8 @@ class RootSystem:
         cartan_rows: List[List[int]] = []
         positive = []
         pairing: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+        half_length: Dict[Tuple[int, ...], Q] = {}
         supports = []
-        # Weyl-invariant inner product in weight coordinates:
-        # Gram = C^{-1} D on each semisimple block, identity on the torus.
-        gram = [[Q(0)] * self.rank for _ in range(self.rank)]
         o = 0
         for letter, n in spec.factors:
             rows, ds = _cartan_and_lengths(letter, n)
@@ -248,25 +236,22 @@ class RootSystem:
                 check = _integral([coeffs[i] * ds[i] / d_beta for i in range(n)])
                 positive.append(full)
                 pairing[full] = (0,) * o + check + tail
+                half_length[full] = d_beta
                 supports.append((frozenset(o + i for i in range(n) if coeffs[i]),
                                  sum(coeffs)))
-            cinv = inverse(tuple(qv(r) for r in rows))
-            for i in range(n):
-                for j in range(n):
-                    gram[o + i][o + j] = cinv[i][j] * ds[j]
             o += n
-        for i in range(self.ss_rank, self.rank):
-            gram[i][i] = Q(1)
 
         self.cartan = tuple(qv(r) for r in cartan_rows)
         pad = (Q(0),) * spec.torus_rank
         self.simple_roots = tuple(row + pad for row in self.cartan)
+        self._simple = tuple(tuple(r) + (0,) * spec.torus_rank for r in cartan_rows)
         positive.sort()
         self.positive_roots = tuple(positive)
         self._coroot_of = pairing
+        # d_beta = (beta, beta) / 2 of each positive root, beside its coroot
+        self._half_length = half_length
         # (support, height) of each positive root in the simple-root basis
         self._root_supports = tuple(supports)
-        self.gram = tuple(tuple(r) for r in gram)
 
     # -- basic predicates -------------------------------------------------
 
@@ -284,11 +269,6 @@ class RootSystem:
         self.check_dim(v)
         return all(x.denominator == 1 for x in v)
 
-    def inner(self, a: Vec, b: Vec):
-        self.check_dim(a)
-        self.check_dim(b)
-        return dot(a, matvec(self.gram, b))
-
     def coroot_pairing(self, alpha: Vec, lam: Vec):
         """Pairing (lam, coroot of alpha) for a positive root alpha."""
         try:
@@ -303,7 +283,7 @@ class RootSystem:
     @cached_property
     def star_matrix(self) -> Tuple[Tuple[int, ...], ...]:
         """Matrix of the linear involution -w0 in weight coordinates (int rows)."""
-        cols = [_integral(star(self, basis)) for basis in identity(self.rank)]
+        cols = [star(self, basis) for basis in identity(self.rank)]
         return transpose(tuple(cols))
 
     @cached_property
@@ -327,9 +307,10 @@ def reflect(rs: RootSystem, i: int, lam: Vec) -> Vec:
     if not 0 <= i < rs.ss_rank:
         raise DomainError("reflection index %d out of range" % i)
     rs.check_dim(lam)
-    if lam[i] == 0:
+    c = lam[i]
+    if c == 0:
         return lam
-    return vsub(lam, vscale(rs.simple_roots[i], lam[i]))
+    return tuple(x - c * a for x, a in zip(lam, rs._simple[i]))
 
 
 def _parabolic_order(rs: RootSystem, indices) -> int:
@@ -373,14 +354,12 @@ def weyl_orbit(rs: RootSystem, lam: Vec) -> Tuple[Vec, ...]:
     if size > MAX_ENUMERATION:
         raise DomainError("Weyl orbit of %d points exceeds the limit of %d"
                           % (size, MAX_ENUMERATION))
-    d = lcm(*(x.denominator for x in dom))
-    top = tuple(x.numerator * (d // x.denominator) for x in dom)
-    simple = [_integral(row) for row in rs.simple_roots]
+    d, top = _scaled(dom)
     seen = {top}
     queue = [top]
     while queue:
         mu = queue.pop()
-        for i, alpha in enumerate(simple):
+        for i, alpha in enumerate(rs._simple):
             c = mu[i]
             if c > 0:
                 nu = tuple(x - c * a for x, a in zip(mu, alpha))
@@ -393,18 +372,27 @@ def weyl_orbit(rs: RootSystem, lam: Vec) -> Tuple[Vec, ...]:
 
 
 def dominantize(rs: RootSystem, lam: Vec):
-    """Dominant orbit representative and the word of reflections applied."""
+    """Dominant orbit representative and the word of reflections applied,
+    reflecting at the first negative coordinate; integral lam gives ints."""
     rs.check_dim(lam)
+    d, cur = _scaled(lam)
     word = []
-    cur = lam
     while True:
         for i in range(rs.ss_rank):
-            if cur[i] < 0:
-                cur = reflect(rs, i, cur)
+            c = cur[i]
+            if c < 0:
+                cur = tuple(x - c * a for x, a in zip(cur, rs._simple[i]))
                 word.append(i)
                 break
         else:
-            return cur, tuple(word)
+            return (cur if d == 1 else tuple(Q(x, d) for x in cur)), tuple(word)
+
+
+def _scaled(v: Vec):
+    """(d, d * v) for the common denominator d of v, as an int and an int tuple."""
+    d = lcm(*(x.denominator for x in v))
+    return d, tuple(x.numerator * (d // x.denominator) for x in v)
+
 
 
 def star(rs: RootSystem, lam: Vec) -> Vec:

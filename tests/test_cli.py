@@ -140,6 +140,13 @@ def test_exit_codes():
                                 "weights": 5}}).returncode == 2
     assert run_cli({"command": "closure", "group": "A2",
                     "payload": {"infinity_polytope": {"points": 5}}}).returncode == 2
+    # a closure keeps the rays and the dim of its polyhedron
+    assert run_cli({"command": "closure", "group": "A2",
+                    "payload": {"infinity_polytope": {"dim": 2, "points": [[1, 0]],
+                                                      "rays": [[1, 0]]}}}).returncode == 3
+    assert run_cli({"command": "closure", "group": "A2",
+                    "payload": {"infinity_polytope": {"dim": 3,
+                                                      "points": [[1, 0]]}}}).returncode == 2
     # a rank of thousands of digits
     assert run_cli({"command": "roots", "group": "A" + "9" * 5000}).returncode == 2
     # nesting deeper than the JSON decoder's recursion
@@ -161,7 +168,11 @@ def test_oversized_inputs_refused_fast():
                  "payload": {"hw": [[1], [100000000]]}},
                 {"command": "render", "group": "A1",
                  "payload": {"result": {"polyhedron": {"dim": 1, "points": [[0]]}},
-                             "weights": [[100000000]]}}):
+                             "weights": [[100000000]]}},
+                # modules of dimension 742,900 and 3,875 whose Freudenthal
+                # boxes hold 3.35e9 and 2,494,800 coefficient tuples
+                {"command": "irrep", "group": "C12", "payload": {"hw": [0] * 11 + [1]}},
+                {"command": "irrep", "group": "E8", "payload": {"hw": [1] + [0] * 7}}):
         start = time.perf_counter()
         res = run_cli(req)
         assert time.perf_counter() - start < 1.0, req

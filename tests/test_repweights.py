@@ -115,11 +115,18 @@ def test_weyl_invariance_of_multiplicities():
 
 def test_dimension_sweep_small():
     # Freudenthal total dimension vs the product-formula oracle
-    for name in ("A1", "A2", "B2"):
+    for name in ("A1", "A2", "B2", "G2", "A3", "B3", "C3"):
         rs = build(name)
-        for coords in product(range(3), repeat=rs.rank):
+        for coords in product(range(3 if rs.rank < 3 else 2), repeat=rs.rank):
             lam = qv(coords)
-            assert irrep_weights(rs, lam).dim() == dim(rs, lam)
+            assert irrep_weights(rs, lam).dim() == dim(rs, lam), (name, coords)
+    # fundamental weights of F4, E6 and E7; the other E7 ones have
+    # Freudenthal boxes of 37,800 to 1,146,600 coefficient tuples
+    for name, indices in (("F4", range(4)), ("E6", range(6)), ("E7", (0, 1, 6))):
+        rs = build(name)
+        for i in indices:
+            lam = qv([int(i == j) for j in range(rs.rank)])
+            assert irrep_weights(rs, lam).dim() == dim(rs, lam), (name, i)
 
 
 def test_product_group_weights():
