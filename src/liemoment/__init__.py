@@ -15,7 +15,6 @@ from .rootsys import (
     build,
     dominant_roots,
     dominantize,
-    reflect,
     star,
     star_linear,
     weyl_orbit,
@@ -24,14 +23,11 @@ from .repweights import WeightSystem, dim, irrep_weights, pi_lambda, union_weigh
 from .polyhedra import (
     Polyhedron,
     cone_from_rays,
-    cone_over,
     empty_polyhedron,
     from_generators,
     from_halfspaces,
     hull,
     intersect,
-    is_proper,
-    join_with_origin,
     shift,
     slice_subspace,
 )
@@ -44,15 +40,11 @@ from .momentum import (
     cotangent_homogeneous,
     linear_cone_torus,
     local_cone,
-    lower_bound_projective,
     momentum_polytope_projective,
     projective_closure_polytope,
-    projective_polytope_torus,
     recover_cone,
     reduce_polytope,
     star_invariance_check,
-    upper_bound_projective,
-    vertex_condition,
 )
 
 __version__ = "0.1.0"

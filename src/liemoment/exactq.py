@@ -85,10 +85,6 @@ def is_zero(a: Vec) -> bool:
     return all(x == 0 for x in a)
 
 
-def identity(n: int) -> Mat:
-    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-
-
 def transpose(a: Mat) -> Mat:
     return tuple(zip(*a)) if a else ()
 
@@ -144,7 +140,8 @@ def inverse(a: Mat) -> Mat:
     n = len(a)
     if any(len(r) != n for r in a):
         raise ShapeError("inverse of a non-square matrix")
-    aug = [list(row) + list(identity(n)[i]) for i, row in enumerate(a)]
+    aug = [list(row) + [ONE if j == i else ZERO for j in range(n)]
+           for i, row in enumerate(a)]
     rows, pivots = _eliminate(aug)
     if list(pivots) != list(range(n)):
         raise ShapeError("singular matrix")

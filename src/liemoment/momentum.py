@@ -17,19 +17,16 @@ from operator import add, sub
 from typing import List, Optional, Sequence
 
 from .errors import DomainError, ShapeError, UnsupportedCaseError
-from .exactq import Q, Vec, dot, matvec, rank as mat_rank, transpose, vneg
+from .exactq import Q, Vec, dot, matvec, rank as mat_rank, transpose, vneg, vzero
 from .polyhedra import (
     Polyhedron,
     cone_from_rays,
-    cone_over,
     empty_polyhedron,
     from_generators,
     from_halfspaces,
     hull,
     hull_vertices_cut,
     intersect,
-    is_proper,
-    join_with_origin,
     shift,
     slice_subspace,
     to_json,
@@ -128,16 +125,6 @@ def linear_cone_torus(rs: RootSystem, weights: Sequence[Vec]) -> Polyhedron:
     return cone_from_rays([vneg(w) for w in ws], rs.rank)
 
 
-def projective_polytope_torus(rs: RootSystem, weights: Sequence[Vec]) -> Polyhedron:
-    """Momentum polytope of the projectivized torus module: minus the weight hull."""
-    ws = [tuple(w) for w in weights]
-    if not ws:
-        raise DomainError("projective space of the zero module")
-    for w in ws:
-        rs.check_dim(w)
-    return hull([vneg(w) for w in ws])
-
-
 # --------------------------------------------------------------------------
 # affine momentum cones and projective closures
 
@@ -157,12 +144,17 @@ def projective_closure_polytope(rs: RootSystem, infinity_polytope: Polyhedron) -
     """Momentum polytope of the projective closure: join of the divisor's with 0."""
     if infinity_polytope.dim != rs.rank:
         raise ShapeError("polytope dimension does not match the group rank")
-    return join_with_origin(infinity_polytope)
+    if infinity_polytope.rays or infinity_polytope.lines:
+        raise DomainError("join_with_origin requires a polytope (p has rays)")
+    return from_generators(rs.rank, infinity_polytope.points + (vzero(rs.rank),))
 
 
 def recover_cone(p: Polyhedron) -> Polyhedron:
-    """Momentum cone of the affine variety from its closure's polytope."""
-    return cone_over(p)
+    """Momentum cone of the affine variety from its closure's polytope: the
+    cone over its vertices (an origin vertex is absorbed)."""
+    if p.rays or p.lines:
+        raise DomainError("cone_over requires a polytope (p has rays)")
+    return cone_from_rays(p.points, p.dim)
 
 
 # --------------------------------------------------------------------------
@@ -211,11 +203,6 @@ def _upper_bound_for_list(rs: RootSystem, hw_list, system: WeightSystem) -> Poly
     for lam in set(hw_list):
         pts.update(pi_lambda(system, lam))
     return _chamber_hull(rs, [pts])
-
-
-def upper_bound_projective(rs: RootSystem, lam: Vec) -> Polyhedron:
-    """Outer bound for the irreducible with highest weight lam."""
-    return _upper_bound_for_list(rs, [lam], irrep_weights(rs, lam))
 
 
 def _maximal_cliques(adj: List[int], n: int) -> List[int]:
@@ -272,18 +259,14 @@ def _greedy_cover_cliques(adj: List[int], order: List[int]) -> List[int]:
 _CLIQUE_EXHAUSTIVE_LIMIT = 20
 
 
-def lower_bound_projective(rs: RootSystem, system: WeightSystem) -> Polyhedron:
-    """Inner bound from subsets of weights with certified torus-like momenta.
+def _lower_bound_with_strategy(rs: RootSystem, system: WeightSystem):
+    """Inner bound from subsets of weights with certified torus-like momenta,
+    and the clique strategy that found them.
 
     A subset qualifies when every pairwise difference is not a root, or one
     endpoint has multiplicity at least 2.  The bound is the hull of the
     chamber pieces cut from the starred hull of each maximal such subset.
     """
-    poly, _ = _lower_bound_with_strategy(rs, system)
-    return poly
-
-
-def _lower_bound_with_strategy(rs: RootSystem, system: WeightSystem):
     weights = sorted(system.entries)
     n = len(weights)
     if n == 0:
@@ -422,12 +405,6 @@ def assemble_polytope(specs: Sequence[LocalConeSpec]) -> Polyhedron:
     return out
 
 
-def vertex_condition(spec: LocalConeSpec) -> bool:
-    """Necessary vertex test: the local cone, recentred at 0, is proper."""
-    cone = shift(local_cone(spec), vneg(spec.mu))
-    return is_proper(cone)
-
-
 # --------------------------------------------------------------------------
 # symplectic reduction by a central level
 
@@ -476,14 +453,12 @@ def cotangent_homogeneous(rs: RootSystem, wall_generators: Sequence[Vec]) -> Bou
     if lower == cham:
         return BoundedAnswer.certified(cham, "dominant-root-rays-span-chamber")
 
-    n = _single_a_type(rs)
-    if n is not None:
-        sigma = cone_from_rays(gens, rs.rank)
-        pi_first = [Q(0)] * rs.rank
-        pi_first[0] = Q(1)
-        pi_last = [Q(0)] * rs.rank
-        pi_last[-1] = Q(1)
-        if sigma in (cone_from_rays([tuple(pi_first)]), cone_from_rays([tuple(pi_last)])):
+    if _single_a_type(rs) is not None:
+        # the generators span the ray of the first or of the last
+        # fundamental weight: they are dominant, so it suffices that their
+        # nonzero coordinates all sit at index 0 or all at index rank-1
+        support = {i for g in gens for i, x in enumerate(g) if x != 0}
+        if support in ({0}, {rs.rank - 1}):
             ray = [Q(0)] * rs.rank
             ray[0] = Q(1)
             ray[-1] += Q(1)

@@ -229,9 +229,6 @@ class Polyhedron:
 
     # -- predicates ---------------------------------------------------------
 
-    def is_cone(self) -> bool:
-        return not self.empty and self.points == (vzero(self.dim),)
-
     def contains(self, x: Vec) -> bool:
         if len(x) != self.dim:
             raise ShapeError("point has %d coordinates, expected %d" % (len(x), self.dim))
@@ -271,7 +268,7 @@ class Polyhedron:
         return True
 
 
-def _empty(dim: int) -> Polyhedron:
+def empty_polyhedron(dim: int) -> Polyhedron:
     return Polyhedron(dim, True, (), (), (), (), ())
 
 
@@ -285,7 +282,7 @@ def _assemble(dim, gen_rays, gen_lines, fac_rays, fac_lines) -> Polyhedron:
         else:
             rays.append(r[1:])
     if not points:
-        return _empty(dim)
+        return empty_polyhedron(dim)
     lines = [l[1:] for l in gen_lines]
 
     lcanon = _canonical_lines(lines)
@@ -344,29 +341,6 @@ def _dual(dim, rays, lines, *extra):
                     dim + 1)
 
 
-def _canonicalize_from_gens(dim, points, rays=(), lines=()) -> Polyhedron:
-    if not points:
-        return _empty(dim)
-    gens = [(Q(1),) + tuple(p) for p in points]
-    gens += [(Q(0),) + tuple(r) for r in rays if not is_zero(r)]
-    line_rows = [(Q(0),) + tuple(l) for l in lines if not is_zero(l)]
-    # the first pass already returns the irredundant facets
-    fac_rays, fac_lines = _dual(dim, gens, line_rows)
-    gen_rays, gen_lines = _dual(dim, fac_rays, fac_lines, (Q(1),) + vzero(dim))
-    return _assemble(dim, gen_rays, gen_lines, fac_rays, fac_lines)
-
-
-def _canonicalize_from_halfspaces(dim, ineqs, eqs=()) -> Polyhedron:
-    rows = [(Q(-b),) + tuple(n) for n, b in ineqs]
-    rows += [(Q(-b),) + tuple(n) for n, b in eqs]
-    rows += [(Q(b),) + tuple(vneg(n)) for n, b in eqs]
-    gen_rays, gen_lines = _dual(dim, rows, (), (Q(1),) + vzero(dim))
-    if not any(r[0] > 0 for r in gen_rays):
-        return _empty(dim)
-    fac_rays, fac_lines = _dual(dim, gen_rays, gen_lines)
-    return _assemble(dim, gen_rays, gen_lines, fac_rays, fac_lines)
-
-
 # --------------------------------------------------------------------------
 # public constructors
 
@@ -379,7 +353,15 @@ def from_generators(dim: int, points: Iterable[Vec], rays: Iterable[Vec] = (),
     for v in pts + rys + lns:
         if len(v) != dim:
             raise ShapeError("generator has %d coordinates, expected %d" % (len(v), dim))
-    return _canonicalize_from_gens(dim, pts, rys, lns)
+    if not pts:
+        return empty_polyhedron(dim)
+    gens = [(Q(1),) + p for p in pts]
+    gens += [(Q(0),) + r for r in rys if not is_zero(r)]
+    line_rows = [(Q(0),) + l for l in lns if not is_zero(l)]
+    # the first pass already returns the irredundant facets
+    fac_rays, fac_lines = _dual(dim, gens, line_rows)
+    gen_rays, gen_lines = _dual(dim, fac_rays, fac_lines, (Q(1),) + vzero(dim))
+    return _assemble(dim, gen_rays, gen_lines, fac_rays, fac_lines)
 
 
 def from_halfspaces(dim: int, ineqs: Iterable[Tuple[Vec, Q]],
@@ -389,11 +371,14 @@ def from_halfspaces(dim: int, ineqs: Iterable[Tuple[Vec, Q]],
     for n, _ in iq + ee:
         if len(n) != dim:
             raise ShapeError("normal has %d coordinates, expected %d" % (len(n), dim))
-    return _canonicalize_from_halfspaces(dim, iq, ee)
-
-
-def empty_polyhedron(dim: int) -> Polyhedron:
-    return _empty(dim)
+    rows = [(Q(-b),) + n for n, b in iq]
+    rows += [(Q(-b),) + n for n, b in ee]
+    rows += [(Q(b),) + vneg(n) for n, b in ee]
+    gen_rays, gen_lines = _dual(dim, rows, (), (Q(1),) + vzero(dim))
+    if not any(r[0] > 0 for r in gen_rays):
+        return empty_polyhedron(dim)
+    fac_rays, fac_lines = _dual(dim, gen_rays, gen_lines)
+    return _assemble(dim, gen_rays, gen_lines, fac_rays, fac_lines)
 
 
 def hull(points: Sequence[Vec]) -> Polyhedron:
@@ -438,26 +423,8 @@ def intersect(a: Polyhedron, b: Polyhedron) -> Polyhedron:
     if a.dim != b.dim:
         raise ShapeError("ambient dimension mismatch: %d vs %d" % (a.dim, b.dim))
     if a.empty or b.empty:
-        return _empty(a.dim)
+        return empty_polyhedron(a.dim)
     return from_halfspaces(a.dim, a.ineqs + b.ineqs, a.eqs + b.eqs)
-
-
-def join_with_origin(p: Polyhedron) -> Polyhedron:
-    """Convex hull of a polytope with the origin."""
-    if p.rays or p.lines:
-        raise DomainError("join_with_origin requires a polytope (p has rays)")
-    if p.empty:
-        return from_generators(p.dim, [vzero(p.dim)])
-    return from_generators(p.dim, list(p.points) + [vzero(p.dim)])
-
-
-def cone_over(p: Polyhedron) -> Polyhedron:
-    """Cone spanned by a polytope's vertices (an origin vertex is absorbed)."""
-    if p.rays or p.lines:
-        raise DomainError("cone_over requires a polytope (p has rays)")
-    if p.empty:
-        return cone_from_rays([], p.dim)
-    return cone_from_rays(list(p.points), p.dim)
 
 
 def shift(p: Polyhedron, v: Vec) -> Polyhedron:
@@ -489,17 +456,10 @@ def slice_subspace(p: Polyhedron, basis: Sequence[Vec]) -> Polyhedron:
         raise DomainError("dependent subspace basis")
     k = len(basis)
     if p.empty:
-        return _empty(k)
+        return empty_polyhedron(k)
     ineqs = [(tuple(dot(n, b) for b in basis), off) for n, off in p.ineqs]
     eqs = [(tuple(dot(n, b) for b in basis), off) for n, off in p.eqs]
     return from_halfspaces(k, ineqs, eqs)
-
-
-def is_proper(p: Polyhedron) -> bool:
-    """Whether a cone contains no line."""
-    if not p.is_cone():
-        raise DomainError("is_proper is defined for cones")
-    return not p.lines
 
 
 # --------------------------------------------------------------------------
@@ -537,7 +497,7 @@ def from_json(obj: dict) -> Polyhedron:
     if obj.get("empty"):
         if "dim" not in obj:
             raise ShapeError("empty polyhedron JSON needs a dim field")
-        return _empty(given_dim)
+        return empty_polyhedron(given_dim)
     try:
         points = [qv(v) for v in obj.get("points", [])]
         rays = [qv(v) for v in obj.get("rays", [])]

@@ -185,13 +185,9 @@ def pi_lambda(system: WeightSystem, lam: Vec) -> Tuple[Vec, ...]:
     return tuple(sorted(w for w in system.entries if w not in excluded))
 
 
-def union_weights(systems: Sequence[WeightSystem], rs: RootSystem = None) -> WeightSystem:
-    """Multiplicity-wise sum of weight systems over a common root system."""
-    systems = list(systems)
-    if not systems:
-        if rs is None:
-            raise DomainError("union of an empty list needs an explicit root system")
-        return WeightSystem(rs, {})
+def union_weights(systems: Sequence[WeightSystem]) -> WeightSystem:
+    """Multiplicity-wise sum of a nonempty list of weight systems over a
+    common root system."""
     first = systems[0].rs
     for s in systems[1:]:
         if s.rs.spec != first.spec:

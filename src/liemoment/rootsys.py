@@ -30,7 +30,7 @@ from operator import mul
 from typing import Dict, List, Tuple
 
 from .errors import DomainError, ShapeError
-from .exactq import Q, Vec, dot, identity, qv, transpose, vneg
+from .exactq import Q, Vec, dot, qv, transpose, vneg
 
 # Largest Weyl orbit (rootsys.weyl_orbit) or module dimension
 # (repweights.irrep_weights) a request may enumerate.  The E6 orbit of
@@ -283,7 +283,8 @@ class RootSystem:
     @cached_property
     def star_matrix(self) -> Tuple[Tuple[int, ...], ...]:
         """Matrix of the linear involution -w0 in weight coordinates (int rows)."""
-        cols = [star(self, basis) for basis in identity(self.rank)]
+        cols = [star(self, tuple(int(i == j) for j in range(self.rank)))
+                for i in range(self.rank)]
         return transpose(tuple(cols))
 
     @cached_property
@@ -300,17 +301,6 @@ def build(spec) -> RootSystem:
     if isinstance(spec, str):
         spec = GroupSpec.parse(spec)
     return RootSystem(spec)
-
-
-def reflect(rs: RootSystem, i: int, lam: Vec) -> Vec:
-    """Simple reflection s_i (0-based): lam - lam_i * alpha_i."""
-    if not 0 <= i < rs.ss_rank:
-        raise DomainError("reflection index %d out of range" % i)
-    rs.check_dim(lam)
-    c = lam[i]
-    if c == 0:
-        return lam
-    return tuple(x - c * a for x, a in zip(lam, rs._simple[i]))
 
 
 def _parabolic_order(rs: RootSystem, indices) -> int:

@@ -11,7 +11,8 @@ flips y):
     A1xA1:  pi1 -> (1, 0)*s             pi2 -> (0, 1)*s
 
 Each drawing coordinate is an exact rational pair (a, b) meaning a + b*sqrt3,
-converted to float only inside the formatter.
+converted to float only inside the formatter.  A coordinate whose float
+is not finite is refused with a DomainError.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Tuple
 
-from .errors import UnsupportedCaseError
+from .errors import DomainError, UnsupportedCaseError
 from .exactq import Q, Vec, vscale
 from .polyhedra import Polyhedron, hull as _hull
 from .repweights import WeightSystem
@@ -79,11 +80,19 @@ def _draw_map(rs: RootSystem, scale: int):
     return to_draw
 
 
+_TOO_LARGE = "drawing coordinate does not fit in a float"
+
+
 def _fl(pair) -> float:
-    return float(pair[0]) + float(pair[1]) * _SQRT3
+    try:
+        return float(pair[0]) + float(pair[1]) * _SQRT3
+    except OverflowError:
+        raise DomainError(_TOO_LARGE)
 
 
 def _fmt(x: float) -> str:
+    if not math.isfinite(x):
+        raise DomainError(_TOO_LARGE)
     s = "%.6f" % x
     return "0.000000" if s == "-0.000000" else s
 

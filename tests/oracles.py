@@ -76,6 +76,12 @@ def in_hull(points, x):
     return lp_feasible(rows, rhs)
 
 
+def reflect(rs, i, v):
+    """Simple reflection s_i(v) = v - v_i alpha_i (0-based i), on the
+    Fraction simple roots of rs; it shares no code with rootsys."""
+    return tuple(x - v[i] * a for x, a in zip(v, rs.simple_roots[i]))
+
+
 def reflection_closure(simple_roots, lam):
     """Weyl orbit of lam: the closure of {lam} under the simple reflections
     s_i(v) = v - v_i alpha_i, on Fraction vectors, in no particular order.

@@ -10,23 +10,22 @@ import time
 from contextlib import contextmanager
 from itertools import product
 
-from liemoment.exactq import Q, qv, vneg
+from liemoment.exactq import Q, dot, qv, vneg, vzero
 from liemoment.momentum import (
     CASE_FULL_TORUS,
     CASE_SUBTORUS,
     LocalConeSpec,
+    _lower_bound_with_strategy,
+    _upper_bound_for_list,
     affine_cone_from_hw,
     assemble_polytope,
     chamber,
     cotangent_homogeneous,
     local_cone,
-    lower_bound_projective,
     momentum_polytope_projective,
     projective_closure_polytope,
     recover_cone,
     reduce_polytope,
-    upper_bound_projective,
-    vertex_condition,
 )
 from liemoment.polyhedra import (
     cone_from_rays,
@@ -35,13 +34,12 @@ from liemoment.polyhedra import (
     from_halfspaces,
     hull,
     intersect,
-    is_proper,
     shift,
 )
 from liemoment.repweights import dim, irrep_weights
 from liemoment.rootsys import build, star, weyl_orbit
 
-from oracles import in_hull
+from oracles import in_hull, lp_feasible
 
 _DURATIONS = {}
 
@@ -115,8 +113,9 @@ def test_criterion_4_unit_pairing_sweep():
                 assert bool(trims) == unit_simple, (name, coords)
                 light = orbit_hull_in_chamber(rs, lam)
                 if not trims:
-                    lo = lower_bound_projective(rs, irrep_weights(rs, lam))
-                    up = upper_bound_projective(rs, lam)
+                    ws = irrep_weights(rs, lam)
+                    lo = _lower_bound_with_strategy(rs, ws)[0]
+                    up = _upper_bound_for_list(rs, [lam], ws)
                     assert lo == up == light, (name, coords)
                 if unit_simple:
                     ans = momentum_polytope_projective(rs, [lam])
@@ -233,8 +232,9 @@ def _suite_sandwich():
         rs = build(name)
         for coords in product(range(3), repeat=rs.rank):
             lam = qv(coords)
-            lo = lower_bound_projective(rs, irrep_weights(rs, lam))
-            up = upper_bound_projective(rs, lam)
+            ws = irrep_weights(rs, lam)
+            lo = _lower_bound_with_strategy(rs, ws)[0]
+            up = _upper_bound_for_list(rs, [lam], ws)
             assert up.contains_polyhedron(lo), (name, coords)
             if all(c != 1 for c in coords):
                 assert lo == up, (name, coords)
@@ -276,12 +276,28 @@ def _suite_assemble_contained():
             assert local_cone(s).contains_polyhedron(poly)
 
 
+def _slice_cone_is_proper(s):
+    """LP oracle for the vertex test: the local cone holds no line exactly
+    when the isotropy spans the torus and no positive combination of the
+    nonzero (restricted) slice weights vanishes."""
+    weights = s.slice_weights
+    if s.case_tag == CASE_SUBTORUS:
+        if len(s.isotropy_subtorus) < s.rs.rank:
+            return False
+        weights = [tuple(dot(b, w) for b in s.isotropy_subtorus) for w in weights]
+    weights = [w for w in weights if any(x != 0 for x in w)]
+    if not weights:
+        return True
+    rows = [[w[i] for w in weights] for i in range(len(weights[0]))]
+    rows.append([1] * len(weights))
+    return not lp_feasible(rows, [0] * len(weights[0]) + [1])
+
+
 def _suite_vertex_condition_properness():
     for s in _local_cone_samples():
         cone = shift(local_cone(s), vneg(qv(s.mu)))
-        assert vertex_condition(s) == is_proper(cone)
-        if s.case_tag == CASE_SUBTORUS and len(s.isotropy_subtorus) < s.rs.rank:
-            assert not vertex_condition(s)
+        assert cone.points == (vzero(s.rs.rank),)  # recentred at 0, a cone
+        assert (not cone.lines) == _slice_cone_is_proper(s)
 
 
 def test_criterion_8_property_suites():

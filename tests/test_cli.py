@@ -147,6 +147,10 @@ def test_exit_codes():
     assert run_cli({"command": "closure", "group": "A2",
                     "payload": {"infinity_polytope": {"dim": 3,
                                                       "points": [[1, 0]]}}}).returncode == 2
+    # a drawing whose coordinates are finite floats but whose viewBox width is not
+    res = run_cli({"command": "render", "group": "A1xA1",
+                   "payload": {"result": {"points": [[6 * 10 ** 307, 0]]}, "scale": 1}})
+    assert res.returncode == 3 and res.stdout == b""
     # a rank of thousands of digits
     assert run_cli({"command": "roots", "group": "A" + "9" * 5000}).returncode == 2
     # nesting deeper than the JSON decoder's recursion

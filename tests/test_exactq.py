@@ -5,7 +5,6 @@ import pytest
 from liemoment.errors import ShapeError
 from liemoment.exactq import (
     Q,
-    identity,
     inverse,
     q,
     qstr,
@@ -16,7 +15,7 @@ from liemoment.exactq import (
 
 
 def test_rank_examples():
-    assert rank(identity(3)) == 3
+    assert rank(tuple(qv(r) for r in [[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 3
     assert rank(tuple(qv(r) for r in [[1, 2], [2, 4]])) == 1
     assert rank(tuple(qv(r) for r in [[2, -1], [-1, 2]])) == 2
 

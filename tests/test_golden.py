@@ -123,6 +123,11 @@ REQUESTS = [
     ("refuse-rational-hw", _req("irrep", "A2", {"hw": ["1/2", 0]})),
     ("refuse-affine-nondominant", _req("affine-cone", "A2", {"generators": [[-1, 0]]})),
     ("refuse-empty-hw-list", _req("projective", "A2", {"hw": []})),
+    ("refuse-render-huge-point", _req("render", "A2", {
+        "result": {"points": [[10 ** 400, 0]]}})),
+    ("refuse-render-huge-scale", _req("render", "A2", {
+        "result": {"polyhedron": {"dim": 2, "points": [[0, 0], [1, 0], [0, 1]]}},
+        "scale": 10 ** 400})),
     # exit 4: outside the implemented theory
     ("refuse-wall-local-cone", _req("local-cone", "A2", {
         "mu": [0, 1], "slice_weights": [[1, 0]], "case": "full-torus-isotropy"})),

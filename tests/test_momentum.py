@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -9,28 +9,25 @@ from liemoment.momentum import (
     CASE_FULL_TORUS,
     CASE_SUBTORUS,
     LocalConeSpec,
+    _lower_bound_with_strategy,
+    _upper_bound_for_list,
     affine_cone_from_hw,
     assemble_polytope,
     chamber,
     cotangent_homogeneous,
     linear_cone_torus,
     local_cone,
-    lower_bound_projective,
     momentum_polytope_projective,
     projective_closure_polytope,
-    projective_polytope_torus,
     recover_cone,
     reduce_polytope,
     star_invariance_check,
-    upper_bound_projective,
-    vertex_condition,
 )
 from liemoment.polyhedra import (
     cone_from_rays,
     from_halfspaces,
     hull,
     intersect,
-    is_proper,
     shift,
 )
 from liemoment.repweights import irrep_weights, union_weights
@@ -48,6 +45,16 @@ def orbit_hull_in_chamber(rs, lam):
     return intersect(chamber(rs), hull(list(weyl_orbit(rs, star(rs, lam)))))
 
 
+def upper_bound(rs, lam):
+    """The trimmed outer bound for the irreducible with highest weight lam."""
+    return _upper_bound_for_list(rs, [lam], irrep_weights(rs, lam))
+
+
+def lower_bound(rs, system):
+    """The clique inner bound of a weight system."""
+    return _lower_bound_with_strategy(rs, system)[0]
+
+
 # -- torus formulas ---------------------------------------------------------
 
 
@@ -56,18 +63,24 @@ def test_linear_cone_torus():
     assert c == cone_from_rays([qv([-1, 0]), qv([0, -1])])
     assert linear_cone_torus(T2, []).points == (qv([0, 0]),)
     line = linear_cone_torus(T2, [qv([1, 0]), qv([-1, 0])])
-    assert not is_proper(line)
+    assert line.lines
 
 
 def test_projective_polytope_torus():
-    seg = projective_polytope_torus(T2, [qv([1, 0]), qv([0, 1])])
+    # a torus module's polytope is minus the hull of its weights
+    def torus_polytope(rs, weights):
+        ans = momentum_polytope_projective(rs, weights)
+        assert ans.certificate == "torus-weights"
+        return ans.exact
+
+    seg = torus_polytope(T2, [qv([1, 0]), qv([0, 1])])
     assert seg == hull([qv([-1, 0]), qv([0, -1])])
-    assert projective_polytope_torus(T2, [qv([2, 3])]).points == (qv([-2, -3]),)
+    assert torus_polytope(T2, [qv([2, 3])]).points == (qv([-2, -3]),)
     # weights {0, lam}: interval from -lam to 0
-    iv = projective_polytope_torus(T1, [qv([0]), qv([3])])
+    iv = torus_polytope(T1, [qv([0]), qv([3])])
     assert iv == hull([qv([-3]), qv([0])])
     with pytest.raises(DomainError):
-        projective_polytope_torus(T2, [])
+        momentum_polytope_projective(T2, [])
 
 
 # -- affine cones and closures ---------------------------------------------
@@ -104,27 +117,27 @@ def test_projective_closure_and_cone():
 
 
 def test_upper_bound_fig1():
-    up = upper_bound_projective(A2, qv([2, 1]))
+    up = upper_bound(A2, qv([2, 1]))
     assert set(up.points) == {qv([0, 0]), qv([2, 0]), qv([1, 2]), qv([0, 2])}
 
 
 def test_upper_bound_no_trim():
-    assert upper_bound_projective(A2, qv([2, 2])) == orbit_hull_in_chamber(A2, qv([2, 2]))
+    assert upper_bound(A2, qv([2, 2])) == orbit_hull_in_chamber(A2, qv([2, 2]))
 
 
 def test_lower_bound_closes_sandwich_22():
-    lo = lower_bound_projective(A2, irrep_weights(A2, qv([2, 2])))
-    assert lo == upper_bound_projective(A2, qv([2, 2]))
+    lo = lower_bound(A2, irrep_weights(A2, qv([2, 2])))
+    assert lo == upper_bound(A2, qv([2, 2]))
 
 
 def test_lower_bound_point_for_minuscule():
-    lo = lower_bound_projective(A3, irrep_weights(A3, qv([1, 0, 0])))
+    lo = lower_bound(A3, irrep_weights(A3, qv([1, 0, 0])))
     assert lo.points == (qv([0, 0, 1]),)
 
 
 def test_lower_bound_replicated_copies():
     ws = union_weights([irrep_weights(A2, qv([1, 0]))] * 3)
-    assert lower_bound_projective(A2, ws) == orbit_hull_in_chamber(A2, qv([1, 0]))
+    assert lower_bound(A2, ws) == orbit_hull_in_chamber(A2, qv([1, 0]))
 
 
 def test_clique_edges_match_pairwise_definition(monkeypatch):
@@ -148,7 +161,7 @@ def test_clique_edges_match_pairwise_definition(monkeypatch):
     for rs, hws in cases:
         system = union_weights([irrep_weights(rs, qv(h)) for h in hws])
         del seen[:]
-        lower_bound_projective(rs, system)
+        lower_bound(rs, system)
         weights = sorted(system.entries)
         mults = system.entries
         roots = set(rs.positive_roots) | {tuple(-x for x in b) for b in rs.positive_roots}
@@ -313,14 +326,15 @@ def test_assemble_contained_in_each_local_cone():
 
 
 def test_vertex_condition():
-    assert vertex_condition(
-        LocalConeSpec(T2, qv([0, 0]), [qv([1, 0]), qv([0, 1])], CASE_FULL_TORUS))
-    assert not vertex_condition(
-        LocalConeSpec(T2, qv([0, 0]), [qv([1, 0]), qv([-1, 0])], CASE_FULL_TORUS))
+    # necessary for a vertex at mu: the local cone holds no line
+    assert not local_cone(
+        LocalConeSpec(T2, qv([0, 0]), [qv([1, 0]), qv([0, 1])], CASE_FULL_TORUS)).lines
+    assert local_cone(
+        LocalConeSpec(T2, qv([0, 0]), [qv([1, 0]), qv([-1, 0])], CASE_FULL_TORUS)).lines
     # subtorus isotropy with a nontrivial quotient torus always fails
-    assert not vertex_condition(
+    assert local_cone(
         LocalConeSpec(T2, qv([0, 0]), [qv([1, 0])], CASE_SUBTORUS,
-                      isotropy_subtorus=[qv([1, 0])]))
+                      isotropy_subtorus=[qv([1, 0])])).lines
 
 
 # -- reduction ---------------------------------------------------------------
@@ -384,6 +398,43 @@ def test_cotangent_su_n_ray():
     assert ans.exact == cone_from_rays([qv([1, 0, 1])])
 
 
+def test_cotangent_su_n_support_check_matches_cone_comparison():
+    """The SU(n) ray certificate applies when the generators' cone is the
+    ray of the first or of the last fundamental weight; the check on their
+    nonzero coordinates agrees with comparing the cones themselves."""
+    reached = set()
+    for n in range(1, 5):
+        rs = build("A%d" % n)
+        pi_first = cone_from_rays([tuple(Q(int(i == 0)) for i in range(n))])
+        pi_last = cone_from_rays([tuple(Q(int(i == n - 1)) for i in range(n))])
+        vecs = [qv(c) for c in product(range(3), repeat=n)]
+        for gens in [[v] for v in vecs] + [list(p) for p in combinations(vecs, 2)]:
+            ans = cotangent_homogeneous(rs, gens)
+            if ans.certificate == "dominant-root-rays-span-chamber":
+                continue  # decided before the SU(n) test
+            expected = cone_from_rays(gens, n) in (pi_first, pi_last)
+            assert (ans.certificate == "maximal-root-ray-su-n") == expected, gens
+            reached.add(expected)
+    assert reached == {False, True}
+
+
+def test_cotangent_su_n_ray_dd_calls(monkeypatch):
+    from liemoment import polyhedra
+
+    calls = []
+    real = polyhedra._dd_cone
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(polyhedra, "_dd_cone", counting)
+    ans = cotangent_homogeneous(A3, [qv([1, 0, 0])])
+    assert ans.certificate == "maximal-root-ray-su-n"
+    # two passes each: the chamber, the dominant-root cone and the answer ray
+    assert len(calls) == 6
+
+
 def test_cotangent_bounds_only():
     ans = cotangent_homogeneous(A3, [qv([0, 1, 0])])
     assert ans.exact is None
@@ -426,8 +477,9 @@ def test_sandwich_small_sweep():
     for rs in (A2, B2):
         for coords in product(range(3), repeat=2):
             lam = qv(coords)
-            lo = lower_bound_projective(rs, irrep_weights(rs, lam))
-            up = upper_bound_projective(rs, lam)
+            ws = irrep_weights(rs, lam)
+            lo = lower_bound(rs, ws)
+            up = _upper_bound_for_list(rs, [lam], ws)
             assert up.contains_polyhedron(lo), (str(rs.spec), coords)
             if all(c != 1 for c in coords):
                 assert lo == up == orbit_hull_in_chamber(rs, lam)

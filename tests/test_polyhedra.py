@@ -7,7 +7,6 @@ from liemoment.exactq import Q, qv, vzero
 from liemoment import polyhedra
 from liemoment.polyhedra import (
     cone_from_rays,
-    cone_over,
     empty_polyhedron,
     from_generators,
     from_halfspaces,
@@ -15,16 +14,21 @@ from liemoment.polyhedra import (
     hull,
     hull_vertices_cut,
     intersect,
-    is_proper,
-    join_with_origin,
     shift,
     slice_subspace,
     to_json,
 )
-from liemoment.momentum import momentum_polytope_projective
+from liemoment.momentum import (
+    momentum_polytope_projective,
+    projective_closure_polytope,
+    recover_cone,
+)
 from liemoment.rootsys import build, weyl_orbit
 
 from oracles import in_hull, lp_feasible
+
+
+T2 = build("T2")
 
 
 def square(a=0, b=1):
@@ -68,7 +72,6 @@ def test_cone_from_rays():
     assert origin.points == (vzero(2),) and not origin.rays
     line = cone_from_rays([qv([1, 0]), qv([-1, 0])])
     assert line.lines == (qv([1, 0]),) and not line.rays
-    assert not is_proper(line)
 
 
 def test_rays_primitive_integer():
@@ -147,26 +150,30 @@ def test_intersect_commutative_associative():
 
 
 def test_join_with_origin():
-    tri = join_with_origin(hull([qv([1, 2]), qv([2, 1])]))
+    # the closure's polytope is the hull of the divisor's with the origin
+    tri = projective_closure_polytope(T2, hull([qv([1, 2]), qv([2, 1])]))
     assert tri.points == (qv([0, 0]), qv([1, 2]), qv([2, 1]))
     p = hull([qv([-1, 0]), qv([1, 0]), qv([0, 1]), qv([0, -1])])
-    assert join_with_origin(p) == p  # idempotent when 0 is inside
+    assert projective_closure_polytope(T2, p) == p  # idempotent when 0 is inside
     with pytest.raises(DomainError):
-        join_with_origin(cone_from_rays([qv([1, 0])]))
+        projective_closure_polytope(T2, cone_from_rays([qv([1, 0])]))
 
 
 def test_cone_over():
-    assert cone_over(hull([qv([1, 1])])).rays == (qv([1, 1]),)
-    c = cone_over(hull([qv([0, 0]), qv([1, 0]), qv([1, 2])]))
+    assert recover_cone(hull([qv([1, 1])])).rays == (qv([1, 1]),)
+    c = recover_cone(hull([qv([0, 0]), qv([1, 0]), qv([1, 2])]))
     assert c.rays == (qv([1, 0]), qv([1, 2]))  # origin vertex absorbed
-    quad = cone_over(hull([qv([1, 0]), qv([0, 1])]))
+    quad = recover_cone(hull([qv([1, 0]), qv([0, 1])]))
     assert quad.rays == (qv([0, 1]), qv([1, 0]))
+    assert recover_cone(empty_polyhedron(2)) == cone_from_rays([], 2)
+    with pytest.raises(DomainError):
+        recover_cone(cone_from_rays([qv([1, 0])]))
 
 
 def test_cone_over_join_identity():
     for p in (hull([qv([1, 2]), qv([2, 1])]), square(1, 2),
               hull([qv([1, 0]), qv([0, 1])])):
-        assert cone_over(join_with_origin(p)) == cone_over(p)
+        assert recover_cone(projective_closure_polytope(T2, p)) == recover_cone(p)
 
 
 def test_shift_and_slice():
@@ -180,12 +187,11 @@ def test_shift_and_slice():
 
 
 def test_is_proper_and_contains():
-    assert is_proper(cone_from_rays([qv([1, 0]), qv([0, 1])]))
-    assert not is_proper(cone_from_rays([qv([1, 0]), qv([-1, 0])]))
+    # a cone is proper when it holds no line
+    assert not cone_from_rays([qv([1, 0]), qv([0, 1])]).lines
+    assert cone_from_rays([qv([1, 0]), qv([-1, 0])]).lines
     quad = cone_from_rays([qv([1, 0]), qv([0, 1])])
     assert quad.contains(qv(["3/2", 0]))  # boundary counts
-    with pytest.raises(DomainError):
-        is_proper(square())
 
 
 def test_equal_invariant_under_permutation():
